@@ -155,6 +155,9 @@ let bench_table6 =
    against exhaustive document-at-a-time evaluation. *)
 let topk_query = "#sum( ba be bi bo bu ce ci co )"
 
+(* The baseline every pruning plan is measured against. *)
+let exhaustive = Inquery.Planner.(Forced Exhaustive)
+
 let bench_topk =
   [
     Test.make ~name:"topk k=10 (pruned)"
@@ -164,7 +167,7 @@ let bench_topk =
     Test.make ~name:"topk k=10 (exhaustive)"
       (Staged.stage (fun () ->
            let f = Lazy.force fixture in
-           Core.Engine.run_topk_string ~exhaustive:true ~k:10 f.engine topk_query));
+           Core.Engine.run_topk_string ~plan:exhaustive ~k:10 f.engine topk_query));
     Test.make ~name:"cursor seek via skip table"
       (Staged.stage (fun () ->
            let f = Lazy.force fixture in
@@ -176,7 +179,7 @@ let bench_topk =
 
 let topk_summary () =
   let f = Lazy.force fixture in
-  let ex = Core.Engine.run_topk_string ~exhaustive:true ~k:10 f.engine topk_query in
+  let ex = Core.Engine.run_topk_string ~plan:exhaustive ~k:10 f.engine topk_query in
   let pr = Core.Engine.run_topk_string ~audit:true ~k:10 f.engine topk_query in
   Printf.printf
     "\n[topk pruning, k=10] postings decoded: exhaustive %d, pruned %d (%.2fx); blocks \
@@ -225,7 +228,7 @@ let bench_plan =
     Test.make ~name:"#and k=10 (exhaustive)"
       (Staged.stage (fun () ->
            let f = Lazy.force fixture in
-           Core.Engine.run_topk_string ~exhaustive:true ~k:10 f.engine plan_and_query));
+           Core.Engine.run_topk_string ~plan:exhaustive ~k:10 f.engine plan_and_query));
     Test.make ~name:"#phrase k=10 (intersect)"
       (Staged.stage (fun () ->
            let f = Lazy.force fixture in
@@ -233,7 +236,7 @@ let bench_plan =
     Test.make ~name:"#phrase k=10 (exhaustive)"
       (Staged.stage (fun () ->
            let f = Lazy.force fixture in
-           Core.Engine.run_topk_string ~exhaustive:true ~k:10 f.engine plan_phrase_query));
+           Core.Engine.run_topk_string ~plan:exhaustive ~k:10 f.engine plan_phrase_query));
   ]
 
 let plan_summary () =
@@ -241,7 +244,7 @@ let plan_summary () =
   Printf.printf "\n[query planner, k=10]\n";
   List.iter
     (fun (cls, q) ->
-      let ex = Core.Engine.run_topk_string ~exhaustive:true ~k:10 f.engine q in
+      let ex = Core.Engine.run_topk_string ~plan:exhaustive ~k:10 f.engine q in
       let au = Core.Engine.run_topk_string ~audit:true ~k:10 f.engine q in
       Printf.printf
         "  %-12s plan %-10s bytes: exhaustive %7d, auto %7d (%.2fx), estimated %7d; audit \

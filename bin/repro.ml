@@ -18,6 +18,17 @@ let collection_arg =
 
 let progress msg = Printf.eprintf "%s\n%!" msg
 
+(* Every torture family reports one [Core.Torture.outcome]: printed by
+   the shared printer, nested as one object of its subcommand's BENCH
+   JSON, and failing the subcommand when it holds a problem. *)
+let print_outcome o = Format.printf "%a@." Core.Torture.pp o
+
+let outcome_json key = function
+  | None -> ""
+  | Some o -> Printf.sprintf ",\n  %S: %s" key (Core.Torture.to_json o)
+
+let outcome_failed = function Some o -> not (Core.Torture.ok o) | None -> false
+
 (* --- tables ------------------------------------------------------- *)
 
 let tables_cmd =
@@ -240,7 +251,10 @@ let topk_cmd =
           let ex = Core.Experiment.open_engine prepared Core.Experiment.Mneme_cache in
           List.iter
             (fun q ->
-              let r = Core.Engine.run_topk_string ~exhaustive:true ~k ex q in
+              let r =
+                Core.Engine.run_topk_string
+                  ~plan:(Inquery.Planner.Forced Inquery.Planner.Exhaustive) ~k ex q
+              in
               exhaustive_decoded := !exhaustive_decoded + r.Core.Engine.topk_postings_decoded)
             queries;
           let engine = Core.Experiment.open_engine prepared Core.Experiment.Mneme_cache in
@@ -601,8 +615,8 @@ let cache_cmd =
     let churn =
       if audit then begin
         let o = Core.Torture.run_cache () in
-        Format.printf "%a@." Core.Torture.pp_cache_outcome o;
-        if not (Core.Torture.cache_ok o) then begin
+        print_outcome o;
+        if not (Core.Torture.ok o) then begin
           Printf.eprintf "cache: churn torture found coherence problems\n";
           exit 1
         end;
@@ -638,23 +652,9 @@ let cache_cmd =
           (String.concat ",\n" (List.map tier_json tiers))
           audit
       in
-      let churn_json =
-        match churn with
-        | None -> ""
-        | Some o ->
-          Printf.sprintf
-            ",\n\
-            \  \"churn_audit\": { \"mutations\": %d, \"comparisons\": %d, \
-             \"result_hits\": %d, \"block_hits\": %d, \"invalidations\": %d, \
-             \"problems\": %d }"
-            o.Core.Torture.ct_mutations o.Core.Torture.ct_comparisons
-            o.Core.Torture.ct_result_hits o.Core.Torture.ct_block_hits
-            o.Core.Torture.ct_invalidations
-            (List.length o.Core.Torture.ct_problems)
-      in
       Printf.fprintf oc "{ \"collections\": [\n%s\n]%s\n}\n"
         (String.concat ",\n" (List.map row_json rows))
-        churn_json;
+        (outcome_json "churn_audit" churn);
       close_out oc;
       Printf.printf "wrote %s\n" file)
   in
@@ -814,9 +814,9 @@ let torture_cmd =
       Printf.eprintf "torture: --docs and --batches must be non-negative\n";
       exit 2
     end;
-    let outcome = Core.Torture.run ~seed ~docs ~update_batches () in
-    Format.printf "%a@." Core.Torture.pp_outcome outcome;
-    if outcome.Core.Torture.problems <> [] then exit 1
+    let outcome = Core.Torture.(run_sweep (prepare ~seed ~docs ~update_batches ())) in
+    print_outcome outcome;
+    if not (Core.Torture.ok outcome) then exit 1
   in
   let doc =
     "Crash the journaled store at every physical I/O of an \
@@ -848,9 +848,11 @@ let failover_cmd =
       Printf.eprintf "failover: --docs, --batches and --standbys must be positive\n";
       exit 2
     end;
-    let outcome = Core.Torture.run_failover ~seed ~docs ~batches ~standbys () in
-    Format.printf "%a@." Core.Torture.pp_failover_outcome outcome;
-    if outcome.Core.Torture.problems <> [] then exit 1
+    let outcome =
+      Core.Torture.(run_sweep (prepare_failover ~seed ~docs ~batches ~standbys ()))
+    in
+    print_outcome outcome;
+    if not (Core.Torture.ok outcome) then exit 1
   in
   let doc =
     "Kill the primary of a journal-shipping replica group at every \
@@ -887,20 +889,16 @@ let epoch_cmd =
       Printf.eprintf "epoch: --docs must be positive\n";
       exit 2
     end;
-    let plan = Core.Torture.prepare_epoch ~seed ~docs () in
-    let table = Core.Torture.epoch_table plan in
+    let sweep = Core.Torture.prepare_epoch ~seed ~docs () in
+    let table = Core.Torture.epoch_table (Core.Torture.golden sweep) in
     Printf.printf "golden run: %d epochs published over %d documents, %d crash points\n"
-      (Core.Torture.epoch_mutations plan)
-      docs
-      (Core.Torture.epoch_points plan);
+      (List.length table) docs (Core.Torture.points sweep);
     Printf.printf "%8s %10s %10s\n" "epoch" "documents" "terms";
     List.iter (fun (e, d, t) -> Printf.printf "%8d %10d %10d\n" e d t) table;
-    let golden_problems = Core.Torture.epoch_golden_problems plan in
+    let golden_problems = Core.Torture.golden_problems sweep in
     List.iter (fun p -> Printf.printf "golden run problem: %s\n" p) golden_problems;
-    let outcome = if audit then Some (Core.Torture.run_epoch ~seed ~docs ()) else None in
-    (match outcome with
-    | Some o -> Format.printf "%a@." Core.Torture.pp_epoch_outcome o
-    | None -> ());
+    let outcome = if audit then Some (Core.Torture.run_sweep sweep) else None in
+    Option.iter print_outcome outcome;
     (match json_file with
     | None -> ()
     | Some f ->
@@ -912,36 +910,6 @@ let epoch_cmd =
                Printf.sprintf "    {\"epoch\": %d, \"documents\": %d, \"terms\": %d}" e d t)
              table)
       in
-      let audit_json =
-        match outcome with
-        | None -> ""
-        | Some o ->
-          let problems_json =
-            String.concat ",\n"
-              (List.map
-                 (fun (k, p) ->
-                   Printf.sprintf "      {\"crash_at\": %d, \"problem\": %S}" k p)
-                 o.Core.Torture.e_problems)
-          in
-          Printf.sprintf
-            ",\n\
-            \  \"audit\": {\n\
-            \    \"points\": %d,\n\
-            \    \"opened\": %d,\n\
-            \    \"unopenable\": %d,\n\
-            \    \"wholly_old\": %d,\n\
-            \    \"wholly_new\": %d,\n\
-            \    \"replayed\": %d,\n\
-            \    \"discarded\": %d,\n\
-            \    \"clean\": %d,\n\
-            \    \"gc_reclaimed_objects\": %d,\n\
-            \    \"problems\": [\n%s\n    ]\n\
-            \  }"
-            o.Core.Torture.e_points o.Core.Torture.e_opened o.Core.Torture.e_unopenable
-            o.Core.Torture.e_wholly_old o.Core.Torture.e_wholly_new o.Core.Torture.e_replayed
-            o.Core.Torture.e_discarded o.Core.Torture.e_clean o.Core.Torture.e_reclaimed
-            problems_json
-      in
       Printf.fprintf oc
         "{\n\
         \  \"seed\": %d,\n\
@@ -950,16 +918,10 @@ let epoch_cmd =
         \  \"crash_points\": %d,\n\
         \  \"epochs\": [\n%s\n  ]%s\n\
          }\n"
-        seed docs
-        (Core.Torture.epoch_mutations plan)
-        (Core.Torture.epoch_points plan)
-        table_json audit_json;
+        seed docs (List.length table) (Core.Torture.points sweep) table_json
+        (outcome_json "audit" outcome);
       close_out oc);
-    let problems =
-      golden_problems <> []
-      || match outcome with Some o -> o.Core.Torture.e_problems <> [] | None -> false
-    in
-    if problems then exit 1
+    if golden_problems <> [] || outcome_failed outcome then exit 1
   in
   let doc =
     "Publish epochs through a journaled live index (snapshot-isolated COW mutation) and, with \
@@ -997,20 +959,16 @@ let ingest_cmd =
       Printf.eprintf "ingest: --docs must be positive\n";
       exit 2
     end;
-    let plan = Core.Torture.prepare_ingest ~seed ~docs () in
-    let table = Core.Torture.ingest_table plan in
+    let sweep = Core.Torture.prepare_ingest ~seed ~docs () in
+    let table = Core.Torture.ingest_table (Core.Torture.golden sweep) in
     Printf.printf "golden run: %d operations over %d documents, %d crash points\n"
-      (Core.Torture.ingest_ops plan)
-      docs
-      (Core.Torture.ingest_points plan);
+      (List.length table) docs (Core.Torture.points sweep);
     Printf.printf "%8s %10s %8s %10s\n" "op" "acked_seq" "folds" "documents";
     List.iter (fun (o, s, f, d) -> Printf.printf "%8d %10d %8d %10d\n" o s f d) table;
-    let golden_problems = Core.Torture.ingest_golden_problems plan in
+    let golden_problems = Core.Torture.golden_problems sweep in
     List.iter (fun p -> Printf.printf "golden run problem: %s\n" p) golden_problems;
-    let outcome = if audit then Some (Core.Torture.run_ingest ~seed ~docs ()) else None in
-    (match outcome with
-    | Some o -> Format.printf "%a@." Core.Torture.pp_ingest_outcome o
-    | None -> ());
+    let outcome = if audit then Some (Core.Torture.run_sweep sweep) else None in
+    Option.iter print_outcome outcome;
     (match json_file with
     | None -> ()
     | Some f ->
@@ -1023,40 +981,6 @@ let ingest_cmd =
                  "    {\"op\": %d, \"acked_seq\": %d, \"folds\": %d, \"documents\": %d}" o s fo d)
              table)
       in
-      let audit_json =
-        match outcome with
-        | None -> ""
-        | Some o ->
-          let problems_json =
-            String.concat ",\n"
-              (List.map
-                 (fun (k, p) ->
-                   Printf.sprintf "      {\"crash_at\": %d, \"problem\": %S}" k p)
-                 o.Core.Torture.i_problems)
-          in
-          Printf.sprintf
-            ",\n\
-            \  \"audit\": {\n\
-            \    \"points\": %d,\n\
-            \    \"acked_ops\": %d,\n\
-            \    \"folds\": %d,\n\
-            \    \"opened\": %d,\n\
-            \    \"unopenable\": %d,\n\
-            \    \"wholly_old\": %d,\n\
-            \    \"wholly_new\": %d,\n\
-            \    \"replayed\": %d,\n\
-            \    \"discarded\": %d,\n\
-            \    \"clean\": %d,\n\
-            \    \"wal_redelivered\": %d,\n\
-            \    \"gc_reclaimed_objects\": %d,\n\
-            \    \"problems\": [\n%s\n    ]\n\
-            \  }"
-            o.Core.Torture.i_points o.Core.Torture.i_acked o.Core.Torture.i_folds
-            o.Core.Torture.i_opened o.Core.Torture.i_unopenable o.Core.Torture.i_wholly_old
-            o.Core.Torture.i_wholly_new o.Core.Torture.i_replayed o.Core.Torture.i_discarded
-            o.Core.Torture.i_clean o.Core.Torture.i_redelivered o.Core.Torture.i_reclaimed
-            problems_json
-      in
       Printf.fprintf oc
         "{\n\
         \  \"seed\": %d,\n\
@@ -1065,16 +989,10 @@ let ingest_cmd =
         \  \"crash_points\": %d,\n\
         \  \"timeline\": [\n%s\n  ]%s\n\
          }\n"
-        seed docs
-        (Core.Torture.ingest_ops plan)
-        (Core.Torture.ingest_points plan)
-        table_json audit_json;
+        seed docs (List.length table) (Core.Torture.points sweep) table_json
+        (outcome_json "audit" outcome);
       close_out oc);
-    let problems =
-      golden_problems <> []
-      || match outcome with Some o -> o.Core.Torture.i_problems <> [] | None -> false
-    in
-    if problems then exit 1
+    if golden_problems <> [] || outcome_failed outcome then exit 1
   in
   let doc =
     "Ingest documents online through the WAL-backed write buffer and budgeted merge and, \
@@ -1145,8 +1063,8 @@ let scrub_cmd =
         Core.Torture.run_scrub ~seed ~docs ~batches ~standbys ~bits
           ~crash_sweep:(not no_crash) ()
       in
-      Format.printf "%a@." Core.Torture.pp_scrub_outcome outcome;
-      if not (Core.Torture.scrub_ok outcome) then exit 1
+      print_outcome outcome;
+      if not (Core.Torture.ok outcome) then exit 1
   in
   let doc =
     "Flip bits in every physical segment of a replicated store, one \
@@ -1376,9 +1294,7 @@ let shard_cmd =
     if not all_exact then
       Printf.eprintf "shard: some merged rankings diverged from the unsharded index\n";
     let outcome = if audit then Some (Core.Torture.run_shard ()) else None in
-    (match outcome with
-    | Some o -> Format.printf "%a@." Core.Torture.pp_shard_outcome o
-    | None -> ());
+    Option.iter print_outcome outcome;
     (match json_file with
     | None -> ()
     | Some f ->
@@ -1393,38 +1309,6 @@ let shard_cmd =
                  s mk d ps dn exact)
              rows)
       in
-      let audit_json =
-        match outcome with
-        | None -> ""
-        | Some o ->
-          let problems_json =
-            match o.Core.Torture.st_problems with
-            | [] -> "    \"problems\": []"
-            | ps ->
-              Printf.sprintf "    \"problems\": [\n%s\n    ]"
-                (String.concat ",\n"
-                   (List.map
-                      (fun (r, p) ->
-                        Printf.sprintf "      {\"replay\": %d, \"problem\": %S}" r p)
-                      ps))
-          in
-          Printf.sprintf
-            ",\n\
-            \  \"audit\": {\n\
-            \    \"shards\": %d,\n\
-            \    \"members\": %d,\n\
-            \    \"points\": %d,\n\
-            \    \"runs\": %d,\n\
-            \    \"full\": %d,\n\
-            \    \"partial\": %d,\n\
-            \    \"overshoots\": %d,\n\
-            \    \"truncations\": %d,\n\
-            %s\n\
-            \  }"
-            o.Core.Torture.st_shards o.Core.Torture.st_members o.Core.Torture.st_points
-            o.Core.Torture.st_runs o.Core.Torture.st_full o.Core.Torture.st_partial
-            o.Core.Torture.st_overshoots o.Core.Torture.st_truncations problems_json
-      in
       Printf.fprintf oc
         "{\n\
         \  \"collection\": %S,\n\
@@ -1434,13 +1318,9 @@ let shard_cmd =
         \  \"replicas\": %d,\n\
         \  \"rows\": [\n%s\n  ]%s\n\
          }\n"
-        name scale (List.length queries) k replicas rows_json audit_json;
+        name scale (List.length queries) k replicas rows_json (outcome_json "audit" outcome);
       close_out oc);
-    let failed =
-      (not all_exact)
-      || match outcome with Some o -> not (Core.Torture.shard_ok o) | None -> false
-    in
-    if failed then exit 1
+    if (not all_exact) || outcome_failed outcome then exit 1
   in
   let doc =
     "Scatter-gather a query set over doc-partitioned shards (each a replicated store behind \

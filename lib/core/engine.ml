@@ -98,7 +98,10 @@ let query_entries t query =
            Inquery.Dictionary.find t.dict term
          end)
 
-let run_query ?(top_k = 100) t query =
+(* Pin the query's records for the evaluation, then charge the engine
+   CPU it accrued to the simulated clock.  [eval] returns its result and
+   the evaluation counters. *)
+let evaluate t query eval =
   let release =
     if t.reserve then t.store.Index_store.reserve (query_entries t query)
     else Index_store.no_reserve []
@@ -106,18 +109,18 @@ let run_query ?(top_k = 100) t query =
   (* The reservation must not leak when evaluation raises (a corrupt
      record with salvage off, say) — pins would accumulate across
      queries and starve the buffers. *)
+  let result, stats = Fun.protect ~finally:release eval in
+  Vfs.Clock.charge_engine_cpu (Vfs.clock t.vfs)
+    (Vfs.Cost_model.engine_cpu_ms (Vfs.cost_model t.vfs)
+       ~postings_scored:stats.Inquery.Infnet.postings_scored
+       ~nodes_visited:stats.Inquery.Infnet.nodes_visited);
+  (result, stats)
+
+let run_query ?(top_k = 100) t query =
   let beliefs, stats =
-    Fun.protect ~finally:release (fun () ->
+    evaluate t query (fun () ->
         Inquery.Infnet.eval t.source t.dict ?stopwords:t.stopwords ~stem:t.stem query)
   in
-  let model = Vfs.cost_model t.vfs in
-  let cpu_ms =
-    (float_of_int stats.Inquery.Infnet.postings_scored
-     *. model.Vfs.Cost_model.cpu_ns_per_posting /. 1.0e6)
-    +. (float_of_int stats.Inquery.Infnet.nodes_visited
-        *. model.Vfs.Cost_model.cpu_us_per_query_node /. 1.0e3)
-  in
-  Vfs.Clock.charge_engine_cpu (Vfs.clock t.vfs) cpu_ms;
   {
     ranked = Inquery.Ranking.top_k beliefs ~k:top_k;
     postings_scored = stats.Inquery.Infnet.postings_scored;
@@ -145,30 +148,21 @@ type topk_result = {
   topk_est_blocks : int;
 }
 
-let run_topk ?(audit = false) ?(exhaustive = false) ?plan ?(k = 10) t query =
-  let release =
-    if t.reserve then t.store.Index_store.reserve (query_entries t query)
-    else Index_store.no_reserve []
+let run_topk ?(audit = false) ?plan ?(k = 10) t query =
+  let (scored, tk), stats =
+    evaluate t query (fun () ->
+        (* Decoded blocks are keyed by the session's current published
+           epoch: a reopened session on a newer epoch stops hitting the
+           old entries without any flush. *)
+        let block_cache =
+          Option.map (fun bc -> (bc, t.store.Index_store.epoch ())) t.block_cache
+        in
+        let scored, stats, tk =
+          Inquery.Infnet.eval_topk t.source t.dict ?stopwords:t.stopwords ~stem:t.stem ~audit
+            ?plan ?block_cache ~k query
+        in
+        ((scored, tk), stats))
   in
-  (* Decoded blocks are keyed by the session's current published epoch:
-     a reopened session on a newer epoch stops hitting the old entries
-     without any flush. *)
-  let block_cache =
-    Option.map (fun bc -> (bc, t.store.Index_store.epoch ())) t.block_cache
-  in
-  let scored, stats, tk =
-    Fun.protect ~finally:release (fun () ->
-        Inquery.Infnet.eval_topk t.source t.dict ?stopwords:t.stopwords ~stem:t.stem ~audit
-          ~exhaustive ?plan ?block_cache ~k query)
-  in
-  let model = Vfs.cost_model t.vfs in
-  let cpu_ms =
-    (float_of_int stats.Inquery.Infnet.postings_scored
-     *. model.Vfs.Cost_model.cpu_ns_per_posting /. 1.0e6)
-    +. (float_of_int stats.Inquery.Infnet.nodes_visited
-        *. model.Vfs.Cost_model.cpu_us_per_query_node /. 1.0e3)
-  in
-  Vfs.Clock.charge_engine_cpu (Vfs.clock t.vfs) cpu_ms;
   {
     topk_ranked =
       List.map
@@ -188,5 +182,5 @@ let run_topk ?(audit = false) ?(exhaustive = false) ?plan ?(k = 10) t query =
     topk_est_blocks = tk.Inquery.Infnet.tk_est_blocks;
   }
 
-let run_topk_string ?audit ?exhaustive ?plan ?k t text =
-  run_topk ?audit ?exhaustive ?plan ?k t (Inquery.Query.parse_exn text)
+let run_topk_string ?audit ?plan ?k t text =
+  run_topk ?audit ?plan ?k t (Inquery.Query.parse_exn text)

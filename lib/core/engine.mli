@@ -117,7 +117,6 @@ type topk_result = {
 
 val run_topk :
   ?audit:bool ->
-  ?exhaustive:bool ->
   ?plan:Inquery.Planner.choice ->
   ?k:int ->
   t ->
@@ -128,14 +127,13 @@ val run_topk :
     cheapest applicable executor (max-score, intersection-first, or
     exhaustive) from header statistics; [plan] forces one instead.
     [audit] re-runs the exhaustive evaluator and raises
-    {!Inquery.Infnet.Audit_mismatch} on any divergence; [exhaustive]
-    forces the exhaustive plan (the benchmark baseline).  CPU is
+    {!Inquery.Infnet.Audit_mismatch} on any divergence;
+    [~plan:(Forced Exhaustive)] is the benchmark baseline.  CPU is
     charged to the {!Vfs} clock per posting actually scored, so pruning
     shows up in the simulated timings too. *)
 
 val run_topk_string :
   ?audit:bool ->
-  ?exhaustive:bool ->
   ?plan:Inquery.Planner.choice ->
   ?k:int ->
   t ->

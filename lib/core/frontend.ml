@@ -457,10 +457,9 @@ let run_query ?(top_k = 100) ?deadline_ms ?floor ?plan t query =
       if start >= d then false
       else begin
         let cpu =
-          (float_of_int s.Inquery.Infnet.postings_scored
-           *. stop_model.Vfs.Cost_model.cpu_ns_per_posting /. 1.0e6)
-          +. (float_of_int s.Inquery.Infnet.nodes_visited
-              *. stop_model.Vfs.Cost_model.cpu_us_per_query_node /. 1.0e3)
+          Vfs.Cost_model.engine_cpu_ms stop_model
+            ~postings_scored:s.Inquery.Infnet.postings_scored
+            ~nodes_visited:s.Inquery.Infnet.nodes_visited
         in
         if start +. cpu >= d then begin
           deadline_hit := true;
@@ -482,10 +481,8 @@ let run_query ?(top_k = 100) ?deadline_ms ?floor ?plan t query =
   in
   let model = Vfs.cost_model serving.spec.vfs in
   let cpu_ms =
-    (float_of_int stats.Inquery.Infnet.postings_scored
-     *. model.Vfs.Cost_model.cpu_ns_per_posting /. 1.0e6)
-    +. (float_of_int stats.Inquery.Infnet.nodes_visited
-        *. model.Vfs.Cost_model.cpu_us_per_query_node /. 1.0e3)
+    Vfs.Cost_model.engine_cpu_ms model ~postings_scored:stats.Inquery.Infnet.postings_scored
+      ~nodes_visited:stats.Inquery.Infnet.nodes_visited
   in
   Vfs.Clock.charge_engine_cpu (Vfs.clock serving.spec.vfs) cpu_ms;
   advance cpu_ms;

@@ -89,82 +89,156 @@ let workload vfs ~seed ~docs ~update_batches ~txn_begin ~committed ~got_gen =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Crash-point enumeration. *)
+(* One outcome for every family: labelled tallies in a fixed order, and
+   the problems found, each tagged with the point it was found at — 0
+   for the golden (unfaulted) run's own audit. *)
+
+type outcome = { family : string; tallies : (string * int) list; problems : (int * string) list }
+
+let ok o = o.problems = []
+let tally o label = List.assoc label o.tallies
+
+let pp fmt o =
+  Format.fprintf fmt "%s: %s" o.family
+    (String.concat ", " (List.map (fun (l, n) -> Printf.sprintf "%s %d" l n) o.tallies));
+  if o.problems <> [] then begin
+    Format.fprintf fmt "@.%d problem(s):" (List.length o.problems);
+    List.iter
+      (fun (k, p) ->
+        if k = 0 then Format.fprintf fmt "@.  golden run: %s" p
+        else Format.fprintf fmt "@.  point %d: %s" k p)
+      o.problems
+  end
+
+(* Laid out to nest one level deep in the BENCH files. *)
+let to_json o =
+  let tally (l, n) = Printf.sprintf "    %S: %d,\n" l n in
+  let problem (k, p) = Printf.sprintf "      {\"point\": %d, \"problem\": %S}" k p in
+  Printf.sprintf "{\n%s    \"problems\": [\n%s\n    ]\n  }"
+    (String.concat "" (List.map tally o.tallies))
+    (String.concat ",\n" (List.map problem o.problems))
+
+(* ------------------------------------------------------------------ *)
+(* The generic crash sweep.  A family's golden run learns how many
+   physical I/Os its workload performs and records what the audit needs.
+   The sweep then replays the workload once per I/O with a crash armed
+   there, reboots on the durable image — through journal recovery when
+   the family keeps a journal — and hands what survived to the family's
+   audit, which returns labelled counts to add to the tallies. *)
+
+type replay = {
+  device : Vfs.t; (* the sweep arms it to crash *)
+  op : unit -> unit; (* the workload; runs until the armed crash fires *)
+  audit : Vfs.t -> note:(string -> unit) -> (string * int) list;
+      (* reboot image -> counts; violations go to [note] *)
+}
+
+type 'g sweep = {
+  family : string;
+  golden : 'g;
+  points : int;
+  golden_problems : string list;
+  labels : string list; (* tally order: "points", journal verdicts, the audit's counts *)
+  settled : (string * int) list; (* tallies the golden run settles *)
+  journal : (string * string) option; (* data file, log file *)
+  replay : unit -> replay; (* fresh per-replay state *)
+}
+
+type report = { counts : (string * int) list; problems : string list }
+
+let points s = s.points
+let golden s = s.golden
+let golden_problems s = s.golden_problems
+
+let run_point s k =
+  if k < 1 || k > s.points then
+    invalid_arg
+      (Printf.sprintf "Torture.run_point: %s crash point %d outside 1..%d" s.family k s.points);
+  let problems = ref [] in
+  let note p = problems := p :: !problems in
+  let r = s.replay () in
+  Vfs.set_fault r.device (Vfs.Fault.crash_at_io k);
+  (try
+     r.op ();
+     note (Printf.sprintf "workload ran to completion without crashing at io %d" k)
+   with Vfs.Crash -> ());
+  (* Reboot: only durable blocks survive. *)
+  let image = Vfs.crash_image r.device in
+  let verdict =
+    match s.journal with
+    | None -> []
+    | Some (file, log_file) -> (
+      if not (Vfs.file_exists image file) then [ ("clean", 1) ]
+      else
+        match Mneme.Store.recover_journal image ~file ~log_file with
+        | Mneme.Journal.Replayed _ -> [ ("replayed", 1) ]
+        | Mneme.Journal.Discarded _ -> [ ("discarded", 1) ]
+        | Mneme.Journal.Clean -> [ ("clean", 1) ])
+  in
+  let counts = verdict @ r.audit image ~note in
+  { counts; problems = List.rev !problems }
+
+let run_sweep s =
+  let totals = Hashtbl.create 16 in
+  let add (label, n) =
+    if not (List.mem label s.labels) then
+      invalid_arg (Printf.sprintf "Torture.run_sweep: %s has no tally %S" s.family label);
+    Hashtbl.replace totals label (n + Option.value ~default:0 (Hashtbl.find_opt totals label))
+  in
+  List.iter add (("points", s.points) :: s.settled);
+  let problems = ref (List.rev_map (fun p -> (0, p)) s.golden_problems) in
+  for k = 1 to s.points do
+    let r = run_point s k in
+    List.iter add r.counts;
+    List.iter (fun p -> problems := (k, p) :: !problems) r.problems
+  done;
+  {
+    family = s.family;
+    tallies =
+      List.map (fun l -> (l, Option.value ~default:0 (Hashtbl.find_opt totals l))) s.labels;
+    problems = List.rev !problems;
+  }
+
+let journal_verdicts = [ "replayed"; "discarded"; "clean" ]
+
+(* ------------------------------------------------------------------ *)
+(* Store torture. *)
 
 type plan = {
   seed : int;
   docs : int;
   update_batches : int;
-  crash_points : int;
   snapshots : (Mneme.Oid.t, bytes) Hashtbl.t array; (* index = generation *)
   gen_oid : Mneme.Oid.t;
 }
 
-let prepare ?(seed = 42) ?(docs = 12) ?(update_batches = 3) () =
-  if docs < 0 || update_batches < 0 then
-    invalid_arg "Torture.prepare: docs and update_batches must be non-negative";
-  let vfs = Vfs.create () in
-  Vfs.set_fault vfs (Vfs.Fault.none ());
-  let snapshots = Array.init (update_batches + 1) (fun _ -> Hashtbl.create 0) in
-  let gen_oid = ref (-1) in
-  workload vfs ~seed ~docs ~update_batches
-    ~txn_begin:(fun _ -> ())
-    ~committed:(fun i mirror -> snapshots.(i) <- Hashtbl.copy mirror)
-    ~got_gen:(fun g -> gen_oid := g);
-  {
-    seed;
-    docs;
-    update_batches;
-    crash_points = Vfs.fault_io_count vfs;
-    snapshots;
-    gen_oid = !gen_oid;
-  }
+let attach_pools store =
+  List.iter
+    (fun (policy, name) ->
+      let pool = Mneme.Store.add_pool store policy in
+      Mneme.Store.attach_buffer pool (Mneme.Buffer_pool.create ~name ~capacity:(256 * 1024) ()))
+    [
+      (Mneme.Policy.small, "small"); (Mneme.Policy.medium, "medium"); (Mneme.Policy.large, "large");
+    ]
 
-let crash_points plan = plan.crash_points
-
-type point_report = {
-  crash_at : int;
-  recovery : Mneme.Journal.recovery;
-  opened : bool;
-  problems : string list;
-}
-
-let run_point plan k =
-  if k < 1 || k > plan.crash_points then
-    invalid_arg
-      (Printf.sprintf "Torture.run_point: crash point %d outside 1..%d" k plan.crash_points);
-  let problems = ref [] in
-  let note fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
-  let vfs = Vfs.create () in
-  Vfs.set_fault vfs (Vfs.Fault.crash_at_io k);
+let store_replay plan () =
+  let device = Vfs.create () in
   let started = ref 0 and completed = ref 0 in
-  (try
-     workload vfs ~seed:plan.seed ~docs:plan.docs ~update_batches:plan.update_batches
-       ~txn_begin:(fun _ -> incr started)
-       ~committed:(fun _ _ -> incr completed)
-       ~got_gen:(fun _ -> ());
-     note "workload ran to completion without crashing at io %d" k
-   with Vfs.Crash -> ());
-  (* Reboot: only durable blocks survive; recover, then audit. *)
-  let img = Vfs.crash_image vfs in
-  let recovery = Mneme.Store.recover_journal img ~file ~log_file in
-  let opened =
+  let op () =
+    workload device ~seed:plan.seed ~docs:plan.docs ~update_batches:plan.update_batches
+      ~txn_begin:(fun _ -> incr started)
+      ~committed:(fun _ _ -> incr completed)
+      ~got_gen:(fun _ -> ())
+  in
+  let audit img ~note =
+    let note fmt = Printf.ksprintf note fmt in
     match Mneme.Store.open_existing img file with
     | exception Mneme.Store.Corrupt msg ->
       if !completed > 0 then
         note "store unopenable after %d completed commits: %s" !completed msg;
-      false
+      [ ("unopenable", 1) ]
     | store ->
-      List.iter
-        (fun (policy, name) ->
-          let pool = Mneme.Store.add_pool store policy in
-          Mneme.Store.attach_buffer pool
-            (Mneme.Buffer_pool.create ~name ~capacity:(256 * 1024) ()))
-        [
-          (Mneme.Policy.small, "small");
-          (Mneme.Policy.medium, "medium");
-          (Mneme.Policy.large, "large");
-        ];
+      attach_pools store;
       (match Mneme.Store.get store plan.gen_oid with
       | exception e -> note "generation object unreadable: %s" (Printexc.to_string e)
       | gb -> (
@@ -198,64 +272,31 @@ let run_point plan k =
                     note "object %d contents differ after recovery" oid)
               snap
           end));
-      true
+      [ ("opened", 1) ]
   in
-  { crash_at = k; recovery; opened; problems = List.rev !problems }
+  { device; op; audit }
 
-type outcome = {
-  crash_points : int;
-  opened : int;
-  unopenable : int;
-  replayed : int;
-  discarded : int;
-  clean : int;
-  problems : (int * string) list;
-}
-
-(* ------------------------------------------------------------------ *)
-(* The shared fault-at-every-I/O sweep.  Every torture family follows
-   the same discipline: enumerate the golden run's physical I/Os, replay
-   the scenario once per point with a fault armed at that I/O, tally the
-   replay, and collect its problems tagged with the point.  [replay]
-   returns the point's problem list after updating whatever counters the
-   family keeps; [seed_problems] (golden-run audit violations) come back
-   tagged with point 0. *)
-
-let sweep_points ?(seed_problems = []) ~points replay =
-  let problems = ref (List.rev_map (fun p -> (0, p)) seed_problems) in
-  for k = 1 to points do
-    List.iter (fun p -> problems := (k, p) :: !problems) (replay k)
-  done;
-  List.rev !problems
-
-(* The journal-recovery census the store-level sweeps report. *)
-let tally_recovery ~replayed ~discarded ~clean = function
-  | Mneme.Journal.Replayed _ -> incr replayed
-  | Mneme.Journal.Discarded _ -> incr discarded
-  | Mneme.Journal.Clean -> incr clean
-
-let run ?seed ?docs ?update_batches () =
-  let plan = prepare ?seed ?docs ?update_batches () in
-  let opened = ref 0
-  and unopenable = ref 0
-  and replayed = ref 0
-  and discarded = ref 0
-  and clean = ref 0 in
-  let problems =
-    sweep_points ~points:plan.crash_points (fun k ->
-        let r = run_point plan k in
-        if r.opened then incr opened else incr unopenable;
-        tally_recovery ~replayed ~discarded ~clean r.recovery;
-        r.problems)
-  in
+let prepare ?(seed = 42) ?(docs = 12) ?(update_batches = 3) () =
+  if docs < 0 || update_batches < 0 then
+    invalid_arg "Torture.prepare: docs and update_batches must be non-negative";
+  let vfs = Vfs.create () in
+  Vfs.set_fault vfs (Vfs.Fault.none ());
+  let snapshots = Array.init (update_batches + 1) (fun _ -> Hashtbl.create 0) in
+  let gen_oid = ref (-1) in
+  workload vfs ~seed ~docs ~update_batches
+    ~txn_begin:(fun _ -> ())
+    ~committed:(fun i mirror -> snapshots.(i) <- Hashtbl.copy mirror)
+    ~got_gen:(fun g -> gen_oid := g);
+  let plan = { seed; docs; update_batches; snapshots; gen_oid = !gen_oid } in
   {
-    crash_points = plan.crash_points;
-    opened = !opened;
-    unopenable = !unopenable;
-    replayed = !replayed;
-    discarded = !discarded;
-    clean = !clean;
-    problems;
+    family = "store";
+    golden = plan;
+    points = Vfs.fault_io_count vfs;
+    golden_problems = [];
+    labels = [ "points"; "opened"; "unopenable" ] @ journal_verdicts;
+    settled = [];
+    journal = Some (file, log_file);
+    replay = store_replay plan;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -303,15 +344,6 @@ let run_failover_queries vfs store dict ~n_docs ~avg_doc_len ~doc_len =
   List.map
     (fun q -> score_fingerprint (Engine.run_query_string ~top_k:10 engine q).Engine.ranked)
     failover_queries
-
-let attach_pools store =
-  List.iter
-    (fun (policy, name) ->
-      let pool = Mneme.Store.add_pool store policy in
-      Mneme.Store.attach_buffer pool (Mneme.Buffer_pool.create ~name ~capacity:(256 * 1024) ()))
-    [
-      (Mneme.Policy.small, "small"); (Mneme.Policy.medium, "medium"); (Mneme.Policy.large, "large");
-    ]
 
 (* The journal-shipping workload.  Batch [i] (1-based) indexes its slice
    of the documents, then — inside one journal transaction — lands every
@@ -412,7 +444,6 @@ type failover_plan = {
   fo_docs : int;
   fo_batches : int;
   fo_standbys : int;
-  fo_points : int;
   fo_snapshots : (Mneme.Oid.t, bytes) Hashtbl.t array; (* index = generation, 0 unused *)
   fo_ranked : (int * string) list list array;
   fo_scratch : Vfs.t; (* holds one catalog file per generation *)
@@ -420,6 +451,83 @@ type failover_plan = {
 }
 
 let catalog_file_for gen = Printf.sprintf "failover-cat.%d" gen
+
+(* The replay's primary device is the one the sweep crashes; the audit
+   ignores its image and promotes the most caught-up standby instead. *)
+let failover_replay plan () =
+  let device = Vfs.create () in
+  let rep = ref None in
+  let started = ref 0 and completed = ref 0 in
+  let op () =
+    ignore
+      (failover_workload device ~standbys:plan.fo_standbys ~seed:plan.fo_seed ~docs:plan.fo_docs
+         ~batches:plan.fo_batches
+         ~txn_begin:(fun _ -> incr started)
+         ~ready:(fun r -> rep := Some r)
+         ~committed:(fun _ ~mirror:_ ~indexer:_ ~ranked:_ ~gen_oid:_ -> incr completed))
+  in
+  let audit _ ~note =
+    let note fmt = Printf.ksprintf note fmt in
+    match !rep with
+    | None ->
+      (* Died while the group was being attached — nothing was ever
+         committed, so there is legitimately nothing to promote. *)
+      if !completed > 0 then note "replica group lost %d commits" !completed;
+      [ ("empty", 1) ]
+    | Some rep -> (
+      match Mneme.Replica.promote rep with
+      | exception Failure _ ->
+        if !completed > 0 then
+          note "no healthy standby to promote after %d commits" !completed;
+        [ ("empty", 1) ]
+      | info, svfs ->
+        let g = info.Mneme.Replica.applied_lsn in
+        (* A commit the workload saw finish must have shipped; nothing
+           past the last started batch can have. *)
+        if g < !completed || g > !started then
+          note "survivor applied lsn %d outside [%d, %d]" g !completed !started;
+        if g >= 1 then begin
+          match Mneme.Store.open_existing svfs failover_file with
+          | exception Mneme.Store.Corrupt msg -> note "promoted store unopenable: %s" msg
+          | store ->
+            attach_pools store;
+            (match Mneme.Store.get store plan.fo_gen_oid with
+            | exception e -> note "generation object unreadable: %s" (Printexc.to_string e)
+            | gb ->
+              let expect = Printf.sprintf "gen %d" g in
+              if Bytes.to_string gb <> expect then
+                note "generation object holds %S, expected %S" (Bytes.to_string gb) expect);
+            let report = Mneme.Check.run store in
+            if not (Mneme.Check.ok report) then
+              note "fsck: %s" (Format.asprintf "%a" Mneme.Check.pp_report report);
+            let snap = plan.fo_snapshots.(g) in
+            if Mneme.Store.object_count store <> Hashtbl.length snap then
+              note "promoted store holds %d objects, generation %d committed %d"
+                (Mneme.Store.object_count store) g (Hashtbl.length snap);
+            Hashtbl.iter
+              (fun oid b ->
+                match Mneme.Store.get store oid with
+                | exception e ->
+                  note "object %d lost after failover: %s" oid (Printexc.to_string e)
+                | b' -> if not (Bytes.equal b b') then note "object %d differs after failover" oid)
+              snap;
+            (* The paying customer's view: identical ranked results for
+               the committed prefix. *)
+            let catalog = Catalog.load plan.fo_scratch ~file:(catalog_file_for g) in
+            let ranked =
+              run_failover_queries svfs store catalog.Catalog.dict
+                ~n_docs:catalog.Catalog.n_docs
+                ~avg_doc_len:(Catalog.avg_doc_length catalog)
+                ~doc_len:(fun d ->
+                  if d < 0 || d >= Array.length catalog.Catalog.doc_lens then 0
+                  else catalog.Catalog.doc_lens.(d))
+            in
+            if ranked <> plan.fo_ranked.(g) then
+              note "ranked results differ from the committed generation %d" g
+        end;
+        [ ((if g >= 1 then "promoted" else "empty"), 1) ])
+  in
+  { device; op; audit }
 
 let prepare_failover ?(seed = 42) ?(docs = 12) ?(batches = 3) ?(standbys = 2) () =
   if docs < 1 || batches < 1 || standbys < 1 then
@@ -439,133 +547,28 @@ let prepare_failover ?(seed = 42) ?(docs = 12) ?(batches = 3) ?(standbys = 2) ()
          ranked.(i) <- r;
          gen_oid := g;
          Catalog.save scratch ~file:(catalog_file_for i) (Catalog.of_indexer indexer)));
-  {
-    fo_seed = seed;
-    fo_docs = docs;
-    fo_batches = batches;
-    fo_standbys = standbys;
-    fo_points = Vfs.fault_io_count vfs;
-    fo_snapshots = snapshots;
-    fo_ranked = ranked;
-    fo_scratch = scratch;
-    fo_gen_oid = !gen_oid;
-  }
-
-let failover_points plan = plan.fo_points
-
-type failover_report = {
-  crash_at : int;
-  survivor : string;
-  applied_lsn : int;
-  problems : string list;
-}
-
-let run_failover_point plan k =
-  if k < 1 || k > plan.fo_points then
-    invalid_arg
-      (Printf.sprintf "Torture.run_failover_point: crash point %d outside 1..%d" k
-         plan.fo_points);
-  let problems = ref [] in
-  let note fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
-  let vfs = Vfs.create () in
-  Vfs.set_fault vfs (Vfs.Fault.crash_at_io k);
-  let rep = ref None in
-  let started = ref 0 and completed = ref 0 in
-  (try
-     ignore
-       (failover_workload vfs ~standbys:plan.fo_standbys ~seed:plan.fo_seed
-          ~docs:plan.fo_docs ~batches:plan.fo_batches
-          ~txn_begin:(fun _ -> incr started)
-          ~ready:(fun r -> rep := Some r)
-          ~committed:(fun _ ~mirror:_ ~indexer:_ ~ranked:_ ~gen_oid:_ -> incr completed));
-     note "workload ran to completion without crashing at io %d" k
-   with Vfs.Crash -> ());
-  match !rep with
-  | None ->
-    (* Died while the group was being attached — nothing was ever
-       committed, so there is legitimately nothing to promote. *)
-    if !completed > 0 then note "replica group lost %d commits" !completed;
-    { crash_at = k; survivor = "none"; applied_lsn = -1; problems = List.rev !problems }
-  | Some rep -> (
-    match Mneme.Replica.promote rep with
-    | exception Failure _ ->
-      if !completed > 0 then
-        note "no healthy standby to promote after %d commits" !completed;
-      { crash_at = k; survivor = "none"; applied_lsn = -1; problems = List.rev !problems }
-    | info, svfs ->
-      let g = info.Mneme.Replica.applied_lsn in
-      (* A commit the workload saw finish must have shipped; nothing
-         past the last started batch can have. *)
-      if g < !completed || g > !started then
-        note "survivor applied lsn %d outside [%d, %d]" g !completed !started;
-      if g >= 1 then begin
-        match Mneme.Store.open_existing svfs failover_file with
-        | exception Mneme.Store.Corrupt msg -> note "promoted store unopenable: %s" msg
-        | store ->
-          attach_pools store;
-          (match Mneme.Store.get store plan.fo_gen_oid with
-          | exception e -> note "generation object unreadable: %s" (Printexc.to_string e)
-          | gb ->
-            let expect = Printf.sprintf "gen %d" g in
-            if Bytes.to_string gb <> expect then
-              note "generation object holds %S, expected %S" (Bytes.to_string gb) expect);
-          let report = Mneme.Check.run store in
-          if not (Mneme.Check.ok report) then
-            note "fsck: %s" (Format.asprintf "%a" Mneme.Check.pp_report report);
-          let snap = plan.fo_snapshots.(g) in
-          if Mneme.Store.object_count store <> Hashtbl.length snap then
-            note "promoted store holds %d objects, generation %d committed %d"
-              (Mneme.Store.object_count store) g (Hashtbl.length snap);
-          Hashtbl.iter
-            (fun oid b ->
-              match Mneme.Store.get store oid with
-              | exception e ->
-                note "object %d lost after failover: %s" oid (Printexc.to_string e)
-              | b' -> if not (Bytes.equal b b') then note "object %d differs after failover" oid)
-            snap;
-          (* The paying customer's view: identical ranked results for
-             the committed prefix. *)
-          let catalog = Catalog.load plan.fo_scratch ~file:(catalog_file_for g) in
-          let ranked =
-            run_failover_queries svfs store catalog.Catalog.dict
-              ~n_docs:catalog.Catalog.n_docs
-              ~avg_doc_len:(Catalog.avg_doc_length catalog)
-              ~doc_len:(fun d ->
-                if d < 0 || d >= Array.length catalog.Catalog.doc_lens then 0
-                else catalog.Catalog.doc_lens.(d))
-          in
-          if ranked <> plan.fo_ranked.(g) then
-            note "ranked results differ from the committed generation %d" g
-      end;
-      { crash_at = k; survivor = info.Mneme.Replica.name; applied_lsn = g;
-        problems = List.rev !problems })
-
-type failover_outcome = {
-  points : int;
-  promoted : int;
-  empty : int;
-  problems : (int * string) list;
-}
-
-let run_failover ?seed ?docs ?batches ?standbys () =
-  let plan = prepare_failover ?seed ?docs ?batches ?standbys () in
-  let promoted = ref 0 and empty = ref 0 in
-  let problems =
-    sweep_points ~points:plan.fo_points (fun k ->
-        let r = run_failover_point plan k in
-        if r.applied_lsn >= 1 then incr promoted else incr empty;
-        r.problems)
+  let plan =
+    {
+      fo_seed = seed;
+      fo_docs = docs;
+      fo_batches = batches;
+      fo_standbys = standbys;
+      fo_snapshots = snapshots;
+      fo_ranked = ranked;
+      fo_scratch = scratch;
+      fo_gen_oid = !gen_oid;
+    }
   in
-  { points = plan.fo_points; promoted = !promoted; empty = !empty; problems }
-
-let pp_failover_outcome fmt o =
-  Format.fprintf fmt
-    "%d crash points: %d promoted a caught-up standby, %d died before anything committed"
-    o.points o.promoted o.empty;
-  if o.problems <> [] then begin
-    Format.fprintf fmt "@.%d problem(s):" (List.length o.problems);
-    List.iter (fun (k, p) -> Format.fprintf fmt "@.  crash at io %d: %s" k p) o.problems
-  end
+  {
+    family = "failover";
+    golden = plan;
+    points = Vfs.fault_io_count vfs;
+    golden_problems = [];
+    labels = [ "points"; "promoted"; "empty" ];
+    settled = [];
+    journal = None;
+    replay = failover_replay plan;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Scrub torture: the bit-rot sweep.  Build the replicated workload once,
@@ -805,67 +808,53 @@ let audit_scenario scn =
   audit_members ~note:(fun s -> problems := s :: !problems) ~golden:scn (member_stores scn);
   List.rev !problems
 
-(* One crash-during-repair replay.  [k = 0] runs the heal under a
-   counting plan and returns its primary I/O count; [k >= 1] crashes the
-   primary device at heal I/O [k], reboots from the crash image through
-   journal recovery, converges the survivors as plain peers, audits. *)
-let scrub_crash_run ~seed ~docs ~batches ~standbys ~bits ~segment ~note k =
-  let scn = build_scrub_scenario ~seed ~docs ~batches ~standbys () in
-  let member = scn.ss_members.(segment mod Array.length scn.ss_members) in
-  let d = scn.ss_segments.(segment) in
-  scenario_rot scn ~member ~segment ~bits ~seed:(seed + (101 * segment)) ();
-  Vfs.purge_os_cache scn.ss_vfs;
-  if k = 0 then begin
-    Vfs.set_fault scn.ss_vfs (Vfs.Fault.none ());
-    (match
-       Mneme.Replica.heal_segment scn.ss_rep ~store:scn.ss_store ~pool:d.Mneme.Scrub.pool
-         ~pseg:d.Mneme.Scrub.pseg
-     with
-    | Ok _ -> ()
-    | Error e -> note (Printf.sprintf "measuring heal failed: %s" e));
-    Vfs.fault_io_count scn.ss_vfs
-  end
-  else begin
-    Vfs.set_fault scn.ss_vfs (Vfs.Fault.crash_at_io k);
-    (match
-       Mneme.Replica.heal_segment scn.ss_rep ~store:scn.ss_store ~pool:d.Mneme.Scrub.pool
-         ~pseg:d.Mneme.Scrub.pseg
-     with
-    | exception Vfs.Crash -> ()
-    | Ok _ | Error _ ->
-      note (Printf.sprintf "heal finished without crashing at io %d" k));
-    let img = Vfs.crash_image scn.ss_vfs in
-    ignore (Mneme.Store.recover_journal img ~file:failover_file ~log_file:failover_log);
-    (match Mneme.Store.open_existing img failover_file with
-    | exception Mneme.Store.Corrupt msg ->
-      note (Printf.sprintf "crash at heal io %d: rebooted primary unopenable: %s" k msg)
-    | pstore ->
-      attach_pools pstore;
-      let members =
-        ("primary", img, pstore)
-        :: List.map
-             (fun i ->
-               let name = i.Mneme.Replica.name in
-               let svfs = Mneme.Replica.standby_vfs scn.ss_rep ~name in
-               let st = Mneme.Store.open_existing svfs failover_file in
-               attach_pools st;
-               (name, svfs, st))
-             (Mneme.Replica.info scn.ss_rep)
-      in
-      converge_members ~note members;
-      audit_members ~note ~golden:scn members);
-    0
-  end
-
-type scrub_outcome = {
-  sc_segments : int;
-  sc_members : int;
-  sc_healed : int;
-  sc_crash_points : int;
-  sc_problems : (int * string) list;
-}
-
-let scrub_ok o = o.sc_problems = []
+(* The crash-during-repair sweep for one rotted segment: the golden run
+   heals under a counting plan; each replay rebuilds and re-rots the
+   scenario, crashes the primary at one heal I/O, and — after the
+   sweep's journal recovery — converges the survivors as plain peers
+   and audits them. *)
+let repair_sweep ~seed ~docs ~batches ~standbys ~bits ~segment =
+  let rotted () =
+    let scn = build_scrub_scenario ~seed ~docs ~batches ~standbys () in
+    let member = scn.ss_members.(segment mod Array.length scn.ss_members) in
+    scenario_rot scn ~member ~segment ~bits ~seed:(seed + (101 * segment)) ();
+    Vfs.purge_os_cache scn.ss_vfs;
+    scn
+  in
+  let heal scn =
+    let d = scn.ss_segments.(segment) in
+    Mneme.Replica.heal_segment scn.ss_rep ~store:scn.ss_store ~pool:d.Mneme.Scrub.pool
+      ~pseg:d.Mneme.Scrub.pseg
+  in
+  let scn = rotted () in
+  Vfs.set_fault scn.ss_vfs (Vfs.Fault.none ());
+  let golden_problems =
+    match heal scn with Ok _ -> [] | Error e -> [ "measuring heal failed: " ^ e ]
+  in
+  let replay () =
+    let scn = rotted () in
+    let audit img ~note =
+      (match Mneme.Store.open_existing img failover_file with
+      | exception Mneme.Store.Corrupt msg -> note ("rebooted primary unopenable: " ^ msg)
+      | pstore ->
+        attach_pools pstore;
+        let members = ("primary", img, pstore) :: List.tl (member_stores scn) in
+        converge_members ~note members;
+        audit_members ~note ~golden:scn members);
+      []
+    in
+    { device = scn.ss_vfs; op = (fun () -> ignore (heal scn)); audit }
+  in
+  {
+    family = "repair";
+    golden = ();
+    points = Vfs.fault_io_count scn.ss_vfs;
+    golden_problems;
+    labels = "points" :: journal_verdicts;
+    settled = [];
+    journal = Some (failover_file, failover_log);
+    replay;
+  }
 
 let run_scrub ?(seed = 42) ?(docs = 12) ?(batches = 3) ?(standbys = 2) ?(bits = 1)
     ?(crash_sweep = true) () =
@@ -874,7 +863,8 @@ let run_scrub ?(seed = 42) ?(docs = 12) ?(batches = 3) ?(standbys = 2) ?(bits = 
   let nmem = Array.length scn.ss_members in
   let problems = ref [] and healed = ref 0 and crash_points = ref 0 in
   for s = 0 to nseg - 1 do
-    let note msg = problems := (s, msg) :: !problems in
+    (* Problems are tagged with the 1-based segment number. *)
+    let note msg = problems := (s + 1, msg) :: !problems in
     let member = scn.ss_members.(s mod nmem) in
     let d = scn.ss_segments.(s) in
     scenario_rot scn ~member ~segment:s ~bits ~seed:(seed + (101 * s)) ();
@@ -905,34 +895,19 @@ let run_scrub ?(seed = 42) ?(docs = 12) ?(batches = 3) ?(standbys = 2) ?(bits = 
     | l -> note (Printf.sprintf "%d segment(s) still damaged after heal" (List.length l)));
     audit_members ~note ~golden:scn (member_stores scn);
     if crash_sweep then begin
-      let n = scrub_crash_run ~seed ~docs ~batches ~standbys ~bits ~segment:s ~note 0 in
-      crash_points := !crash_points + n;
-      sweep_points ~points:n (fun k ->
-          let ps = ref [] in
-          ignore
-            (scrub_crash_run ~seed ~docs ~batches ~standbys ~bits ~segment:s
-               ~note:(fun m -> ps := m :: !ps)
-               k);
-          List.rev !ps)
-      |> List.iter (fun (k, p) -> note (Printf.sprintf "heal io %d: %s" k p))
+      let o = run_sweep (repair_sweep ~seed ~docs ~batches ~standbys ~bits ~segment:s) in
+      crash_points := !crash_points + tally o "points";
+      List.iter
+        (fun (k, p) -> note (if k = 0 then p else Printf.sprintf "heal io %d: %s" k p))
+        o.problems
     end
   done;
   {
-    sc_segments = nseg;
-    sc_members = nmem;
-    sc_healed = !healed;
-    sc_crash_points = !crash_points;
-    sc_problems = List.rev !problems;
+    family = "scrub";
+    tallies =
+      [ ("segments", nseg); ("members", nmem); ("healed", !healed); ("crash_points", !crash_points) ];
+    problems = List.rev !problems;
   }
-
-let pp_scrub_outcome fmt o =
-  Format.fprintf fmt
-    "%d segments x %d members: %d heal(s) applied, %d crash-during-repair point(s)"
-    o.sc_segments o.sc_members o.sc_healed o.sc_crash_points;
-  if o.sc_problems <> [] then begin
-    Format.fprintf fmt "@.%d problem(s):" (List.length o.sc_problems);
-    List.iter (fun (s, p) -> Format.fprintf fmt "@.  segment %d: %s" s p) o.sc_problems
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Budget sweep: the scrub tax.  Rot the last segment of the walk on the
@@ -1006,16 +981,6 @@ let scrub_budget_sweep ?(seed = 42) ?(docs = 12) ?(batches = 3) ?(standbys = 1) 
         sw_query_ms = mean;
       })
     budgets
-
-let pp_outcome fmt o =
-  Format.fprintf fmt
-    "%d crash points: %d recovered stores, %d pre-commit images; recovery %d replayed / %d \
-     discarded / %d clean logs"
-    o.crash_points o.opened o.unopenable o.replayed o.discarded o.clean;
-  if o.problems <> [] then begin
-    Format.fprintf fmt "@.%d problem(s):" (List.length o.problems);
-    List.iter (fun (k, p) -> Format.fprintf fmt "@.  crash at io %d: %s" k p) o.problems
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Epoch torture: the crash-point discipline pointed at snapshot
@@ -1139,15 +1104,88 @@ let epoch_workload vfs ~seed ~docs ~mutating ~published ~finished =
 type epoch_plan = {
   ep_seed : int;
   ep_docs : int;
-  ep_points : int;
-  ep_mutations : int;
   ep_golden : epoch_golden array; (* index = epoch; 0 unused *)
-  ep_reclaimed : int; (* objects the golden run's two gc passes freed *)
-  ep_problems : string list; (* golden-run audit violations *)
 }
 
 let dummy_golden =
   { eg_epoch = 0; eg_doc_count = 0; eg_directory = []; eg_records = []; eg_ranked = [] }
+
+(* Recovery runs once in the sweep (so the verdict is observable) and
+   again inside [open_mneme] — replaying a recovered log must be
+   idempotent. *)
+let epoch_replay plan () =
+  let device = Vfs.create () in
+  let started = ref 0 and completed = ref 0 in
+  let op () =
+    epoch_workload device ~seed:plan.ep_seed ~docs:plan.ep_docs
+      ~mutating:(fun _ -> incr started)
+      ~published:(fun _ _ -> incr completed)
+      ~finished:(fun _ -> ())
+  in
+  let audit img ~note =
+    let note fmt = Printf.ksprintf note fmt in
+    match Live_index.open_mneme ~journal:epoch_log img ~file:epoch_file () with
+    | exception Mneme.Store.Corrupt msg ->
+      if !completed > 0 then note "index unopenable after %d published epochs: %s" !completed msg;
+      [ ("unopenable", 1) ]
+    | live ->
+      let g = Live_index.epoch live in
+      (* A publication the replay saw commit cannot roll back; the log
+         fsync may have sealed one more the crash then interrupted. *)
+      if g < !completed || g > !started then
+        note "recovered epoch %d outside [%d, %d]" g !completed !started
+      else if g = 0 then note "store opened but no epoch was ever published"
+      else begin
+        let gold = plan.ep_golden.(g) in
+        (* (b) Wholly old or wholly new: the surviving root reproduces
+           the golden run's view of epoch [g] exactly. *)
+        if Live_index.document_count live <> gold.eg_doc_count then
+          note "epoch %d: %d documents, golden had %d" g
+            (Live_index.document_count live)
+            gold.eg_doc_count;
+        if Live_index.directory live <> gold.eg_directory then
+          note "epoch %d: directory differs from golden" g;
+        List.iter
+          (fun (term, b) ->
+            match Live_index.term_record live term with
+            | Some b' when Bytes.equal b b' -> ()
+            | Some _ -> note "epoch %d: record for %S differs from golden" g term
+            | None -> note "epoch %d: record for %S lost" g term)
+          gold.eg_records;
+        let ranked =
+          List.map (fun q -> score_fingerprint (Live_index.search ~top_k:10 live q)) epoch_queries
+        in
+        if ranked <> gold.eg_ranked then note "epoch %d: ranked results differ from golden" g;
+        (* A pin taken on the recovered root must agree with both. *)
+        let p = Live_index.pin live in
+        let pinned =
+          List.map
+            (fun q -> score_fingerprint (Live_index.search_pinned ~top_k:10 live p q))
+            epoch_queries
+        in
+        if pinned <> gold.eg_ranked then note "epoch %d: pinned ranking differs from golden" g;
+        Live_index.release live p;
+        (* (a) fsck-clean as recovered ... *)
+        let store = Option.get (Live_index.mneme_store live) in
+        let rep = Mneme.Check.run store in
+        if not (Mneme.Check.ok rep) then
+          note "fsck: %s" (Format.asprintf "%a" Mneme.Check.pp_report rep);
+        (* ... and gc drains every byte the interrupted epoch stranded,
+           leaving a store that still deep-checks clean. *)
+        ignore (Live_index.gc live);
+        if Live_index.stranded_bytes live <> 0 then
+          note "%d bytes stranded after gc" (Live_index.stranded_bytes live);
+        let rep = Mneme.Check.run ~object_check:Inquery.Postings.validate store in
+        if not (Mneme.Check.ok rep) then
+          note "fsck after gc: %s" (Format.asprintf "%a" Mneme.Check.pp_report rep);
+        match Live_index.audit live with
+        | [] -> ()
+        | (where, p) :: rest ->
+          note "stat drift after recovery (%d problems; %s: %s)" (1 + List.length rest) where p
+      end;
+      [ ("opened", 1); ((if g > !completed then "wholly_new" else "wholly_old"), 1) ]
+  in
+  { device; op; audit }
 
 let prepare_epoch ?(seed = 42) ?(docs = 8) () =
   if docs < 1 then invalid_arg "Torture.prepare_epoch: docs must be positive";
@@ -1194,188 +1232,23 @@ let prepare_epoch ?(seed = 42) ?(docs = 8) () =
         where p);
     reclaimed :=
       a.ea_gc_pinned.Mneme.Epoch.reclaimed_objects + a.ea_gc_final.Mneme.Epoch.reclaimed_objects);
+  let plan = { ep_seed = seed; ep_docs = docs; ep_golden = golden_arr } in
   {
-    ep_seed = seed;
-    ep_docs = docs;
-    ep_points = Vfs.fault_io_count vfs;
-    ep_mutations = !mutations;
-    ep_golden = golden_arr;
-    ep_reclaimed = !reclaimed;
-    ep_problems = List.rev !problems;
+    family = "epoch";
+    golden = plan;
+    points = Vfs.fault_io_count vfs;
+    golden_problems = List.rev !problems;
+    labels =
+      [ "points"; "opened"; "unopenable"; "wholly_old"; "wholly_new" ]
+      @ journal_verdicts @ [ "gc_reclaimed_objects" ];
+    settled = [ ("gc_reclaimed_objects", !reclaimed) ];
+    journal = Some (epoch_file, epoch_log);
+    replay = epoch_replay plan;
   }
-
-let epoch_points plan = plan.ep_points
-let epoch_mutations plan = plan.ep_mutations
-
-type epoch_report = {
-  crash_at : int;
-  recovery : Mneme.Journal.recovery;
-  opened : bool;
-  published : int; (* epochs the replay saw commit before the crash *)
-  recovered_epoch : int; (* -1 when unopenable *)
-  problems : string list;
-}
-
-let run_epoch_point plan k =
-  if k < 1 || k > plan.ep_points then
-    invalid_arg
-      (Printf.sprintf "Torture.run_epoch_point: crash point %d outside 1..%d" k plan.ep_points);
-  let problems = ref [] in
-  let note fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
-  let vfs = Vfs.create () in
-  Vfs.set_fault vfs (Vfs.Fault.crash_at_io k);
-  let started = ref 0 and completed = ref 0 in
-  (try
-     epoch_workload vfs ~seed:plan.ep_seed ~docs:plan.ep_docs
-       ~mutating:(fun _ -> incr started)
-       ~published:(fun _ _ -> incr completed)
-       ~finished:(fun _ -> ());
-     note "workload ran to completion without crashing at io %d" k
-   with Vfs.Crash -> ());
-  (* Reboot on the durable image.  Recovery runs once here (so the
-     verdict is observable) and again inside [open_mneme] — replaying a
-     recovered log must be idempotent. *)
-  let img = Vfs.crash_image vfs in
-  let recovery = Mneme.Store.recover_journal img ~file:epoch_file ~log_file:epoch_log in
-  let opened = ref false and recovered_epoch = ref (-1) in
-  (match Live_index.open_mneme ~journal:epoch_log img ~file:epoch_file () with
-  | exception Mneme.Store.Corrupt msg ->
-    if !completed > 0 then note "index unopenable after %d published epochs: %s" !completed msg
-  | live ->
-    opened := true;
-    let g = Live_index.epoch live in
-    recovered_epoch := g;
-    (* A publication the replay saw commit cannot roll back; the log
-       fsync may have sealed one more the crash then interrupted. *)
-    if g < !completed || g > !started then
-      note "recovered epoch %d outside [%d, %d]" g !completed !started
-    else if g = 0 then note "store opened but no epoch was ever published"
-    else begin
-      let gold = plan.ep_golden.(g) in
-      (* (b) Wholly old or wholly new: the surviving root reproduces
-         the golden run's view of epoch [g] exactly. *)
-      if Live_index.document_count live <> gold.eg_doc_count then
-        note "epoch %d: %d documents, golden had %d" g
-          (Live_index.document_count live)
-          gold.eg_doc_count;
-      if Live_index.directory live <> gold.eg_directory then
-        note "epoch %d: directory differs from golden" g;
-      List.iter
-        (fun (term, b) ->
-          match Live_index.term_record live term with
-          | Some b' when Bytes.equal b b' -> ()
-          | Some _ -> note "epoch %d: record for %S differs from golden" g term
-          | None -> note "epoch %d: record for %S lost" g term)
-        gold.eg_records;
-      let ranked =
-        List.map (fun q -> score_fingerprint (Live_index.search ~top_k:10 live q)) epoch_queries
-      in
-      if ranked <> gold.eg_ranked then note "epoch %d: ranked results differ from golden" g;
-      (* A pin taken on the recovered root must agree with both. *)
-      let p = Live_index.pin live in
-      let pinned =
-        List.map
-          (fun q -> score_fingerprint (Live_index.search_pinned ~top_k:10 live p q))
-          epoch_queries
-      in
-      if pinned <> gold.eg_ranked then note "epoch %d: pinned ranking differs from golden" g;
-      Live_index.release live p;
-      (* (a) fsck-clean as recovered ... *)
-      let store = Option.get (Live_index.mneme_store live) in
-      let rep = Mneme.Check.run store in
-      if not (Mneme.Check.ok rep) then
-        note "fsck: %s" (Format.asprintf "%a" Mneme.Check.pp_report rep);
-      (* ... and gc drains every byte the interrupted epoch stranded,
-         leaving a store that still deep-checks clean. *)
-      ignore (Live_index.gc live);
-      if Live_index.stranded_bytes live <> 0 then
-        note "%d bytes stranded after gc" (Live_index.stranded_bytes live);
-      let rep = Mneme.Check.run ~object_check:Inquery.Postings.validate store in
-      if not (Mneme.Check.ok rep) then
-        note "fsck after gc: %s" (Format.asprintf "%a" Mneme.Check.pp_report rep);
-      match Live_index.audit live with
-      | [] -> ()
-      | (where, p) :: rest ->
-        note "stat drift after recovery (%d problems; %s: %s)" (1 + List.length rest) where p
-    end);
-  {
-    crash_at = k;
-    recovery;
-    opened = !opened;
-    published = !completed;
-    recovered_epoch = !recovered_epoch;
-    problems = List.rev !problems;
-  }
-
-type epoch_outcome = {
-  e_points : int;
-  e_mutations : int;
-  e_opened : int;
-  e_unopenable : int;
-  e_wholly_old : int;
-  e_wholly_new : int;
-  e_replayed : int;
-  e_discarded : int;
-  e_clean : int;
-  e_reclaimed : int;
-  e_problems : (int * string) list; (* crash point 0 = golden-run audit *)
-}
-
-let run_epoch ?seed ?docs () =
-  let plan = prepare_epoch ?seed ?docs () in
-  let opened = ref 0
-  and unopenable = ref 0
-  and wholly_old = ref 0
-  and wholly_new = ref 0
-  and replayed = ref 0
-  and discarded = ref 0
-  and clean = ref 0 in
-  let problems =
-    sweep_points ~seed_problems:plan.ep_problems ~points:plan.ep_points (fun k ->
-        let r = run_epoch_point plan k in
-        if r.opened then begin
-          incr opened;
-          if r.recovered_epoch > r.published then incr wholly_new else incr wholly_old
-        end
-        else incr unopenable;
-        tally_recovery ~replayed ~discarded ~clean r.recovery;
-        r.problems)
-  in
-  {
-    e_points = plan.ep_points;
-    e_mutations = plan.ep_mutations;
-    e_opened = !opened;
-    e_unopenable = !unopenable;
-    e_wholly_old = !wholly_old;
-    e_wholly_new = !wholly_new;
-    e_replayed = !replayed;
-    e_discarded = !discarded;
-    e_clean = !clean;
-    e_reclaimed = plan.ep_reclaimed;
-    e_problems = problems;
-  }
-
-let pp_epoch_outcome fmt o =
-  Format.fprintf fmt
-    "%d crash points over %d epochs: %d recovered roots (%d wholly old, %d wholly new), %d \
-     pre-publication images; recovery %d replayed / %d discarded / %d clean logs; golden gc \
-     reclaimed %d objects"
-    o.e_points o.e_mutations o.e_opened o.e_wholly_old o.e_wholly_new o.e_unopenable o.e_replayed
-    o.e_discarded o.e_clean o.e_reclaimed;
-  if o.e_problems <> [] then begin
-    Format.fprintf fmt "@.%d problem(s):" (List.length o.e_problems);
-    List.iter
-      (fun (k, p) ->
-        if k = 0 then Format.fprintf fmt "@.  golden run: %s" p
-        else Format.fprintf fmt "@.  crash at io %d: %s" k p)
-      o.e_problems
-  end
 
 let epoch_table plan =
   List.filteri (fun i _ -> i > 0) (Array.to_list plan.ep_golden)
   |> List.map (fun g -> (g.eg_epoch, g.eg_doc_count, List.length g.eg_directory))
-
-let epoch_golden_problems plan = plan.ep_problems
 
 (* ------------------------------------------------------------------ *)
 (* Ingest torture: the crash-point discipline pointed at online
@@ -1511,17 +1384,122 @@ let ingest_workload vfs ~seed ~docs ~applying ~observed ~finished =
 type ingest_plan = {
   ig_seed : int;
   ig_docs : int;
-  ig_points : int;
-  ig_ops : int;
   ig_golden : ingest_obs array; (* index = operation; 0 = the empty union *)
   ig_by_seq : ingest_obs option array; (* index = seq + 1 *)
-  ig_folds : int;
-  ig_reclaimed : int;
-  ig_problems : string list;
 }
 
 let dummy_ingest_obs =
   { io_seq = min_int; io_epoch = 0; io_doc_count = 0; io_docs = []; io_ranked = [] }
+
+(* Journal recovery runs once in the sweep (so the verdict is
+   observable) and again inside [Ingest.open_] — replaying a recovered
+   log must be idempotent. *)
+let ingest_replay plan () =
+  let device = Vfs.create () in
+  let inflight = ref None in
+  let completed_seq = ref (-1) and completed_epoch = ref 0 in
+  let op () =
+    ingest_workload device ~seed:plan.ig_seed ~docs:plan.ig_docs
+      ~applying:(fun _ kind -> inflight := Some kind)
+      ~observed:(fun _ obs ->
+        inflight := None;
+        completed_seq := obs.io_seq;
+        completed_epoch := obs.io_epoch)
+      ~finished:(fun _ -> ())
+  in
+  let audit img ~note =
+    let note fmt = Printf.ksprintf note fmt in
+    match Ingest.open_ ~config:ingest_config img ~file:ingest_file () with
+    | exception e ->
+      note "index unopenable: %s" (Printexc.to_string e);
+      [ ("unopenable", 1) ]
+    | t ->
+      let g = Ingest.last_seq t in
+      let recovered_folds = Live_index.epoch (Ingest.live t) in
+      let redelivered = (Ingest.stats t).Ingest.replayed_ops in
+      (* An acknowledgement the replay saw return cannot roll back; the
+         WAL fsync may have sealed one more operation the crash then
+         interrupted. *)
+      let max_seq =
+        !completed_seq + (match !inflight with Some Ik_add | Some Ik_delete -> 1 | _ -> 0)
+      in
+      if g < !completed_seq || g > max_seq then
+        note "recovered frontier %d outside the acknowledged window [%d, %d]" g !completed_seq
+          max_seq;
+      (* The disk index is wholly the old root or wholly the new one: a
+         fold the replay saw commit cannot roll back, and at most the one
+         interrupted fold may have sealed. *)
+      let max_epoch = !completed_epoch + (match !inflight with Some Ik_merge -> 1 | _ -> 0) in
+      if recovered_folds < !completed_epoch || recovered_folds > max_epoch then
+        note "recovered disk epoch %d outside [%d, %d]" recovered_folds !completed_epoch max_epoch;
+      (match
+         if g + 1 >= 0 && g + 1 < Array.length plan.ig_by_seq then plan.ig_by_seq.(g + 1)
+         else None
+       with
+      | None -> note "recovered frontier %d has no golden observation" g
+      | Some gold ->
+        (* Exactly once: the recovered union's document table is
+           byte-for-byte the golden table at the recovered frontier —
+           every acknowledged document present exactly once, unacked ones
+           absent or wholly present, nothing lost, nothing doubled. *)
+        if Ingest.document_count t <> gold.io_doc_count then
+          note "seq %d: %d documents, golden had %d" g (Ingest.document_count t) gold.io_doc_count;
+        if Ingest.documents t <> gold.io_docs then
+          note "seq %d: document table differs from golden" g;
+        let ranked =
+          List.map (fun q -> score_fingerprint (Ingest.search ~top_k:10 t q)) ingest_queries
+        in
+        if ranked <> gold.io_ranked then note "seq %d: union rankings differ from golden" g;
+        (* A reader pinned on the recovered union ranks identically. *)
+        let p = Ingest.pin t in
+        let pinned =
+          List.map
+            (fun q -> score_fingerprint (Ingest.search_pinned ~top_k:10 t p q))
+            ingest_queries
+        in
+        if pinned <> gold.io_ranked then note "seq %d: pinned rankings differ from golden" g;
+        Ingest.release t p;
+        (* fsck-clean as recovered ... *)
+        let store = Option.get (Live_index.mneme_store (Ingest.live t)) in
+        let rep = Mneme.Check.run store in
+        if not (Mneme.Check.ok rep) then
+          note "fsck: %s" (Format.asprintf "%a" Mneme.Check.pp_report rep);
+        (match Ingest.audit t with
+        | [] -> ()
+        | (where, p) :: rest ->
+          note "audit after recovery (%d problems; %s: %s)" (1 + List.length rest) where p);
+        (* ... and the merge resumes and drains: the buffer empties, the
+           frontier reaches the last acknowledged operation, readers see
+           no movement, the WAL is cut, and gc leaves nothing stranded. *)
+        Ingest.drain t;
+        if Ingest.segments t <> [] || Ingest.buffered_docs t > 0 then
+          note "post-recovery drain left the buffer non-empty";
+        if Ingest.merged_seq t <> g then
+          note "post-recovery drain stopped at frontier %d, acknowledged %d" (Ingest.merged_seq t)
+            g;
+        let ranked' =
+          List.map (fun q -> score_fingerprint (Ingest.search ~top_k:10 t q)) ingest_queries
+        in
+        if ranked' <> gold.io_ranked then note "seq %d: rankings moved across the drain" g;
+        if Vfs.size (Vfs.open_file img ingest_wal) <> 0 then
+          note "WAL not truncated after the post-recovery drain";
+        ignore (Live_index.gc (Ingest.live t));
+        if Live_index.stranded_bytes (Ingest.live t) <> 0 then
+          note "%d bytes stranded after gc" (Live_index.stranded_bytes (Ingest.live t));
+        let rep = Mneme.Check.run ~object_check:Inquery.Postings.validate store in
+        if not (Mneme.Check.ok rep) then
+          note "fsck after drain and gc: %s" (Format.asprintf "%a" Mneme.Check.pp_report rep);
+        match Ingest.audit t with
+        | [] -> ()
+        | (where, p) :: rest ->
+          note "audit after the drain (%d problems; %s: %s)" (1 + List.length rest) where p);
+      [
+        ("opened", 1);
+        ((if recovered_folds > !completed_epoch then "wholly_new" else "wholly_old"), 1);
+        ("wal_redelivered", redelivered);
+      ]
+  in
+  { device; op; audit }
 
 let prepare_ingest ?(seed = 42) ?(docs = 8) () =
   if docs < 1 then invalid_arg "Torture.prepare_ingest: docs must be positive";
@@ -1593,231 +1571,20 @@ let prepare_ingest ?(seed = 42) ?(docs = 8) () =
     folds := a.ia_stats.Ingest.folds;
     reclaimed :=
       a.ia_gc_pinned.Mneme.Epoch.reclaimed_objects + a.ia_gc_final.Mneme.Epoch.reclaimed_objects);
+  let plan = { ig_seed = seed; ig_docs = docs; ig_golden = golden_arr; ig_by_seq = by_seq } in
   {
-    ig_seed = seed;
-    ig_docs = docs;
-    ig_points = Vfs.fault_io_count vfs;
-    ig_ops = !ops;
-    ig_golden = golden_arr;
-    ig_by_seq = by_seq;
-    ig_folds = !folds;
-    ig_reclaimed = !reclaimed;
-    ig_problems = List.rev !problems;
+    family = "ingest";
+    golden = plan;
+    points = Vfs.fault_io_count vfs;
+    golden_problems = List.rev !problems;
+    labels =
+      [ "points"; "acked_ops"; "folds"; "opened"; "unopenable"; "wholly_old"; "wholly_new" ]
+      @ journal_verdicts @ [ "wal_redelivered"; "gc_reclaimed_objects" ];
+    settled =
+      [ ("acked_ops", final_seq + 1); ("folds", !folds); ("gc_reclaimed_objects", !reclaimed) ];
+    journal = Some (ingest_file, ingest_journal);
+    replay = ingest_replay plan;
   }
-
-let ingest_points plan = plan.ig_points
-let ingest_ops plan = plan.ig_ops
-let ingest_golden_problems plan = plan.ig_problems
-
-type ingest_report = {
-  i_crash_at : int;
-  i_recovery : Mneme.Journal.recovery;
-  i_opened : bool;
-  i_acked_seq : int; (* last operation the replay saw acknowledged *)
-  i_recovered_seq : int; (* min_int when unopenable *)
-  i_seen_folds : int; (* folds the replay saw commit before the crash *)
-  i_recovered_folds : int;
-  i_redelivered : int; (* WAL records recovery re-applied *)
-  i_problems : string list;
-}
-
-let run_ingest_point plan k =
-  if k < 1 || k > plan.ig_points then
-    invalid_arg
-      (Printf.sprintf "Torture.run_ingest_point: crash point %d outside 1..%d" k plan.ig_points);
-  let problems = ref [] in
-  let note fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
-  let vfs = Vfs.create () in
-  Vfs.set_fault vfs (Vfs.Fault.crash_at_io k);
-  let inflight = ref None in
-  let completed_seq = ref (-1) and completed_epoch = ref 0 in
-  (try
-     ingest_workload vfs ~seed:plan.ig_seed ~docs:plan.ig_docs
-       ~applying:(fun _ kind -> inflight := Some kind)
-       ~observed:(fun _ obs ->
-         inflight := None;
-         completed_seq := obs.io_seq;
-         completed_epoch := obs.io_epoch)
-       ~finished:(fun _ -> ());
-     note "workload ran to completion without crashing at io %d" k
-   with Vfs.Crash -> ());
-  (* Reboot on the durable image.  Journal recovery runs once here (so
-     the verdict is observable) and again inside [Ingest.open_] —
-     replaying a recovered log must be idempotent. *)
-  let img = Vfs.crash_image vfs in
-  let recovery =
-    if Vfs.file_exists img ingest_file then
-      Mneme.Store.recover_journal img ~file:ingest_file ~log_file:ingest_journal
-    else Mneme.Journal.Clean
-  in
-  let opened = ref false
-  and recovered_seq = ref min_int
-  and recovered_folds = ref 0
-  and redelivered = ref 0 in
-  (match Ingest.open_ ~config:ingest_config img ~file:ingest_file () with
-  | exception e -> note "index unopenable: %s" (Printexc.to_string e)
-  | t -> (
-    opened := true;
-    let g = Ingest.last_seq t in
-    recovered_seq := g;
-    recovered_folds := Live_index.epoch (Ingest.live t);
-    redelivered := (Ingest.stats t).Ingest.replayed_ops;
-    (* An acknowledgement the replay saw return cannot roll back; the
-       WAL fsync may have sealed one more operation the crash then
-       interrupted. *)
-    let max_seq =
-      !completed_seq + (match !inflight with Some Ik_add | Some Ik_delete -> 1 | _ -> 0)
-    in
-    if g < !completed_seq || g > max_seq then
-      note "recovered frontier %d outside the acknowledged window [%d, %d]" g !completed_seq
-        max_seq;
-    (* The disk index is wholly the old root or wholly the new one: a
-       fold the replay saw commit cannot roll back, and at most the one
-       interrupted fold may have sealed. *)
-    let max_epoch = !completed_epoch + (match !inflight with Some Ik_merge -> 1 | _ -> 0) in
-    if !recovered_folds < !completed_epoch || !recovered_folds > max_epoch then
-      note "recovered disk epoch %d outside [%d, %d]" !recovered_folds !completed_epoch max_epoch;
-    match if g + 1 >= 0 && g + 1 < Array.length plan.ig_by_seq then plan.ig_by_seq.(g + 1) else None with
-    | None -> note "recovered frontier %d has no golden observation" g
-    | Some gold ->
-      (* Exactly once: the recovered union's document table is
-         byte-for-byte the golden table at the recovered frontier —
-         every acknowledged document present exactly once, unacked ones
-         absent or wholly present, nothing lost, nothing doubled. *)
-      if Ingest.document_count t <> gold.io_doc_count then
-        note "seq %d: %d documents, golden had %d" g (Ingest.document_count t) gold.io_doc_count;
-      if Ingest.documents t <> gold.io_docs then
-        note "seq %d: document table differs from golden" g;
-      let ranked =
-        List.map (fun q -> score_fingerprint (Ingest.search ~top_k:10 t q)) ingest_queries
-      in
-      if ranked <> gold.io_ranked then note "seq %d: union rankings differ from golden" g;
-      (* A reader pinned on the recovered union ranks identically. *)
-      let p = Ingest.pin t in
-      let pinned =
-        List.map
-          (fun q -> score_fingerprint (Ingest.search_pinned ~top_k:10 t p q))
-          ingest_queries
-      in
-      if pinned <> gold.io_ranked then note "seq %d: pinned rankings differ from golden" g;
-      Ingest.release t p;
-      (* fsck-clean as recovered ... *)
-      let store = Option.get (Live_index.mneme_store (Ingest.live t)) in
-      let rep = Mneme.Check.run store in
-      if not (Mneme.Check.ok rep) then
-        note "fsck: %s" (Format.asprintf "%a" Mneme.Check.pp_report rep);
-      (match Ingest.audit t with
-      | [] -> ()
-      | (where, p) :: rest ->
-        note "audit after recovery (%d problems; %s: %s)" (1 + List.length rest) where p);
-      (* ... and the merge resumes and drains: the buffer empties, the
-         frontier reaches the last acknowledged operation, readers see
-         no movement, the WAL is cut, and gc leaves nothing stranded. *)
-      Ingest.drain t;
-      if Ingest.segments t <> [] || Ingest.buffered_docs t > 0 then
-        note "post-recovery drain left the buffer non-empty";
-      if Ingest.merged_seq t <> g then
-        note "post-recovery drain stopped at frontier %d, acknowledged %d" (Ingest.merged_seq t)
-          g;
-      let ranked' =
-        List.map (fun q -> score_fingerprint (Ingest.search ~top_k:10 t q)) ingest_queries
-      in
-      if ranked' <> gold.io_ranked then note "seq %d: rankings moved across the drain" g;
-      if Vfs.size (Vfs.open_file img ingest_wal) <> 0 then
-        note "WAL not truncated after the post-recovery drain";
-      ignore (Live_index.gc (Ingest.live t));
-      if Live_index.stranded_bytes (Ingest.live t) <> 0 then
-        note "%d bytes stranded after gc" (Live_index.stranded_bytes (Ingest.live t));
-      let rep = Mneme.Check.run ~object_check:Inquery.Postings.validate store in
-      if not (Mneme.Check.ok rep) then
-        note "fsck after drain and gc: %s" (Format.asprintf "%a" Mneme.Check.pp_report rep);
-      (match Ingest.audit t with
-      | [] -> ()
-      | (where, p) :: rest ->
-        note "audit after the drain (%d problems; %s: %s)" (1 + List.length rest) where p)));
-  {
-    i_crash_at = k;
-    i_recovery = recovery;
-    i_opened = !opened;
-    i_acked_seq = !completed_seq;
-    i_recovered_seq = !recovered_seq;
-    i_seen_folds = !completed_epoch;
-    i_recovered_folds = !recovered_folds;
-    i_redelivered = !redelivered;
-    i_problems = List.rev !problems;
-  }
-
-type ingest_outcome = {
-  i_points : int;
-  i_ops : int;
-  i_acked : int; (* operations the golden run acknowledged *)
-  i_folds : int;
-  i_opened : int;
-  i_unopenable : int;
-  i_wholly_old : int;
-  i_wholly_new : int;
-  i_replayed : int;
-  i_discarded : int;
-  i_clean : int;
-  i_redelivered : int;
-  i_reclaimed : int;
-  i_problems : (int * string) list; (* crash point 0 = golden-run audit *)
-}
-
-let run_ingest ?seed ?docs () =
-  let plan = prepare_ingest ?seed ?docs () in
-  let opened = ref 0
-  and unopenable = ref 0
-  and wholly_old = ref 0
-  and wholly_new = ref 0
-  and replayed = ref 0
-  and discarded = ref 0
-  and clean = ref 0
-  and redelivered = ref 0 in
-  let problems =
-    sweep_points ~seed_problems:plan.ig_problems ~points:plan.ig_points (fun k ->
-        let r = run_ingest_point plan k in
-        if r.i_opened then begin
-          incr opened;
-          if r.i_recovered_folds > r.i_seen_folds then incr wholly_new else incr wholly_old;
-          redelivered := !redelivered + r.i_redelivered
-        end
-        else incr unopenable;
-        tally_recovery ~replayed ~discarded ~clean r.i_recovery;
-        r.i_problems)
-  in
-  {
-    i_points = plan.ig_points;
-    i_ops = plan.ig_ops;
-    i_acked = plan.ig_golden.(plan.ig_ops).io_seq + 1;
-    i_folds = plan.ig_folds;
-    i_opened = !opened;
-    i_unopenable = !unopenable;
-    i_wholly_old = !wholly_old;
-    i_wholly_new = !wholly_new;
-    i_replayed = !replayed;
-    i_discarded = !discarded;
-    i_clean = !clean;
-    i_redelivered = !redelivered;
-    i_reclaimed = plan.ig_reclaimed;
-    i_problems = problems;
-  }
-
-let pp_ingest_outcome fmt o =
-  Format.fprintf fmt
-    "%d crash points over %d operations (%d acked, %d folds): %d recovered unions (%d wholly-old \
-     roots, %d wholly-new), %d pre-commit images; recovery %d replayed / %d discarded / %d clean \
-     logs; %d WAL records redelivered; golden gc reclaimed %d objects"
-    o.i_points o.i_ops o.i_acked o.i_folds o.i_opened o.i_wholly_old o.i_wholly_new o.i_unopenable
-    o.i_replayed o.i_discarded o.i_clean o.i_redelivered o.i_reclaimed;
-  if o.i_problems <> [] then begin
-    Format.fprintf fmt "@.%d problem(s):" (List.length o.i_problems);
-    List.iter
-      (fun (k, p) ->
-        if k = 0 then Format.fprintf fmt "@.  golden run: %s" p
-        else Format.fprintf fmt "@.  crash at io %d: %s" k p)
-      o.i_problems
-  end
 
 let ingest_table plan =
   List.filteri (fun i _ -> i > 0) (Array.to_list plan.ig_golden)
@@ -1839,20 +1606,6 @@ let ingest_table plan =
 
 let shard_queries = failover_queries
 
-type shard_outcome = {
-  st_shards : int;
-  st_members : int; (* replicas probed for serving-phase I/Os *)
-  st_points : int; (* member serving I/Os enumerated *)
-  st_runs : int; (* fault replays: sweep + blackouts + brownouts *)
-  st_full : int; (* full-coverage query results audited *)
-  st_partial : int; (* partial (degraded / shed) query results audited *)
-  st_overshoots : int; (* deadline overshoots beyond one fetch *)
-  st_truncations : int; (* silent truncations *)
-  st_problems : (int * string) list; (* run number; 0 = clean probe *)
-}
-
-let shard_ok o = o.st_problems = [] && o.st_overshoots = 0 && o.st_truncations = 0
-
 let run_shard ?(seed = 42) ?(docs = 24) ?(shards = 2) ?(replicas = 2) ?(top_k = 10) () =
   if docs < 1 || shards < 1 || replicas < 1 then
     invalid_arg "Torture.run_shard: docs, shards and replicas must be positive";
@@ -1872,7 +1625,9 @@ let run_shard ?(seed = 42) ?(docs = 24) ?(shards = 2) ?(replicas = 2) ?(top_k = 
   let oracle =
     Array.of_list
       (List.map
-         (fun q -> pairs (Engine.run_topk_string ~exhaustive:true ~k:docs engine q).Engine.topk_ranked)
+         (fun q -> pairs (Engine.run_topk_string
+                  ~plan:(Inquery.Planner.Forced Inquery.Planner.Exhaustive) ~k:docs engine q)
+                 .Engine.topk_ranked)
          shard_queries)
   in
   let firstk l = List.filteri (fun i _ -> i < top_k) l in
@@ -2062,46 +1817,23 @@ let run_shard ?(seed = 42) ?(docs = 24) ?(shards = 2) ?(replicas = 2) ?(top_k = 
     (Shard.shard_names coord);
   if !partial = 0 then note 0 "no replay ever exercised a partial result";
   {
-    st_shards = shards;
-    st_members = List.length members;
-    st_points = points;
-    st_runs = !runs;
-    st_full = !full;
-    st_partial = !partial;
-    st_overshoots = !overshoots;
-    st_truncations = !truncations;
-    st_problems = List.rev !problems;
+    family = "shard";
+    tallies =
+      [
+        ("shards", shards);
+        ("members", List.length members);
+        ("points", points);
+        ("runs", !runs);
+        ("full", !full);
+        ("partial", !partial);
+        ("overshoots", !overshoots);
+        ("truncations", !truncations);
+      ];
+    problems = List.rev !problems;
   }
-
-let pp_shard_outcome fmt o =
-  Format.fprintf fmt
-    "%d serving I/Os across %d members of %d shards: %d fault replays, %d full-coverage and %d \
-     partial results audited, %d deadline overshoot(s), %d silent truncation(s)"
-    o.st_points o.st_members o.st_shards o.st_runs o.st_full o.st_partial o.st_overshoots
-    o.st_truncations;
-  if o.st_problems <> [] then begin
-    Format.fprintf fmt "@.%d problem(s):" (List.length o.st_problems);
-    List.iter
-      (fun (r, p) ->
-        if r = 0 then Format.fprintf fmt "@.  clean probe: %s" p
-        else Format.fprintf fmt "@.  replay %d: %s" r p)
-      o.st_problems
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Cache coherence under churn                                         *)
-
-type cache_outcome = {
-  ct_mutations : int;
-  ct_comparisons : int;
-  ct_result_hits : int;
-  ct_block_hits : int;
-  ct_invalidations : int;
-  ct_problems : (int * string) list; (* (mutation, violation); 0 = audit phase *)
-}
-
-let cache_ok o =
-  o.ct_problems = [] && o.ct_result_hits > 0 && o.ct_block_hits > 0 && o.ct_invalidations > 0
 
 let cache_file = "cache.mneme"
 let cache_log = "cache.log"
@@ -2234,26 +1966,24 @@ let run_cache ?(seed = 42) ?(docs = 18) () =
   let rc_stats = Result_cache.stats rc and bc_stats = Util.Block_cache.stats bc in
   if rc_stats.Util.Cache_stats.invalidations <= !rc_hook_drops then
     note 0 "probe-time epoch check never purged a stale result";
+  let result_hits = rc_stats.Util.Cache_stats.hits
+  and block_hits = bc_stats.Util.Cache_stats.hits
+  and invalidations =
+    rc_stats.Util.Cache_stats.invalidations + bc_stats.Util.Cache_stats.invalidations
+  in
+  (* A churn that never hit or invalidated a cache proved nothing. *)
+  if result_hits = 0 then note 0 "the result cache never hit";
+  if block_hits = 0 then note 0 "the block cache never hit";
+  if invalidations = 0 then note 0 "no cache entry was ever invalidated";
   {
-    ct_mutations = !m;
-    ct_comparisons = !comparisons;
-    ct_result_hits = rc_stats.Util.Cache_stats.hits;
-    ct_block_hits = bc_stats.Util.Cache_stats.hits;
-    ct_invalidations =
-      rc_stats.Util.Cache_stats.invalidations + bc_stats.Util.Cache_stats.invalidations;
-    ct_problems = List.rev !problems;
+    family = "cache";
+    tallies =
+      [
+        ("mutations", !m);
+        ("comparisons", !comparisons);
+        ("result_hits", result_hits);
+        ("block_hits", block_hits);
+        ("invalidations", invalidations);
+      ];
+    problems = List.rev !problems;
   }
-
-let pp_cache_outcome fmt o =
-  Format.fprintf fmt
-    "%d mutations, %d cached-vs-uncached comparisons: %d result hits, %d block hits, %d \
-     invalidations"
-    o.ct_mutations o.ct_comparisons o.ct_result_hits o.ct_block_hits o.ct_invalidations;
-  if o.ct_problems <> [] then begin
-    Format.fprintf fmt "@.%d problem(s):" (List.length o.ct_problems);
-    List.iter
-      (fun (m, p) ->
-        if m = 0 then Format.fprintf fmt "@.  audit: %s" p
-        else Format.fprintf fmt "@.  mutation %d: %s" m p)
-      o.ct_problems
-  end

@@ -1,15 +1,90 @@
 (** Crash-point torture harness (ALICE / CrashMonkey style).
 
+    Each family runs a deterministic workload to completion under a
+    counting fault plan to learn how many physical I/Os it performs and
+    what a perfect run holds at each step, then replays it with a fault
+    armed at every one of those I/Os and audits what survives.  Every
+    deviation is reported as a problem tied to its point; a correct
+    system yields an empty problem list. *)
+
+val file : string
+(** Store file name used by the workload ("torture.mneme"). *)
+
+val log_file : string
+(** Journal log file name ("torture.log"). *)
+
+(** {2 One outcome for every family}
+
+    Every torture family — store, failover, scrub, epoch, ingest, shard
+    and cache — reports the same way: labelled tallies in a fixed order
+    (the keys its BENCH JSON uses) and the problems found, each tagged
+    with the point it was found at.  Point 0 is the golden (unfaulted)
+    run's own audit: the crash sweeps' golden runs, the shard sweep's
+    clean probe, and the cache churn's audit phase. *)
+
+type outcome = {
+  family : string;
+  tallies : (string * int) list;
+  problems : (int * string) list;  (** (point, violation) *)
+}
+
+val ok : outcome -> bool
+(** [problems = []]. *)
+
+val tally : outcome -> string -> int
+(** The tally with the given label.  Raises [Not_found] if the family
+    keeps none. *)
+
+val pp : Format.formatter -> outcome -> unit
+(** One line of tallies, then one line per problem; point 0 prints as
+    "golden run". *)
+
+val to_json : outcome -> string
+(** The outcome as a JSON object — each tally as a key, then a
+    ["problems"] array of [{"point", "problem"}] — laid out to nest one
+    level deep in a BENCH file. *)
+
+(** {2 The generic crash sweep}
+
+    A family's golden run learns how many physical I/Os its workload
+    performs — one crash point each — and records what its audit needs.
+    The sweep then replays the workload once per point on a device armed
+    with {!Vfs.Fault.crash_at_io}, notes a replay that ran to completion,
+    takes {!Vfs.crash_image} (what a reboot would find), runs
+    {!Mneme.Store.recover_journal} when the family keeps a journal
+    (tallying the verdict as [replayed] / [discarded] / [clean]), and
+    hands the image to the family's audit, which adds its own counts. *)
+
+type 'g sweep
+(** A completed golden run carrying family data ['g]. *)
+
+val points : _ sweep -> int
+(** Crash points: the physical I/Os the golden run performed. *)
+
+val golden : 'g sweep -> 'g
+
+val golden_problems : _ sweep -> string list
+(** Violations the golden run's own audit found ([] = clean). *)
+
+type report = {
+  counts : (string * int) list;  (** tallies this replay adds *)
+  problems : string list;  (** invariant violations; [] = consistent *)
+}
+
+val run_point : _ sweep -> int -> report
+(** Replay with a crash at physical I/O [k] (1-based), recover, audit.
+    Raises [Invalid_argument] outside [1 .. points]. *)
+
+val run_sweep : _ sweep -> outcome
+(** Every crash point, plus the golden problems at point 0.  The
+    tallies start with [points]. *)
+
+(** {2 Store torture}
+
     A deterministic journaled workload — an index build, then update
     batches that modify, delete and allocate objects, each batch ending
-    in a finalize and bumping a persisted generation counter — is first
-    run to completion under a counting fault plan to learn how many
-    physical I/Os it performs and what a perfect store holds after each
-    commit.  Then the workload is replayed once per I/O with
-    {!Vfs.Fault.crash_at_io} pointed at that I/O: the simulated machine
-    loses power there, {!Vfs.crash_image} reconstructs what a reboot
-    would find, {!Mneme.Store.recover_journal} runs, and the recovered
-    store is audited:
+    in a finalize and bumping a persisted generation counter.  Every
+    recovered store is audited:
 
     - it must open (unless {e no} commit ever completed — before that
       the file legitimately holds nothing durable);
@@ -21,74 +96,15 @@
     - the store must hold exactly the objects of generation [g]'s
       snapshot, byte for byte.
 
-    Every deviation is reported as a problem tied to its crash point;
-    a correct journal yields an empty problem list. *)
-
-val file : string
-(** Store file name used by the workload ("torture.mneme"). *)
-
-val log_file : string
-(** Journal log file name ("torture.log"). *)
+    Tallies: [points], [opened], [unopenable] (crash images from before
+    the first commit), [replayed], [discarded], [clean]. *)
 
 type plan
-(** A completed golden run: crash-point count plus per-generation
-    expected contents. *)
+(** Per-generation expected contents. *)
 
-val prepare : ?seed:int -> ?docs:int -> ?update_batches:int -> unit -> plan
+val prepare : ?seed:int -> ?docs:int -> ?update_batches:int -> unit -> plan sweep
 (** Run the workload to completion (defaults: seed 42, 12 documents,
     3 update batches) and collect the golden snapshots. *)
-
-val crash_points : plan -> int
-(** Number of physical I/Os the workload performs — one crash point
-    each. *)
-
-type point_report = {
-  crash_at : int;
-  recovery : Mneme.Journal.recovery;
-  opened : bool;  (** the crash image opened as a store *)
-  problems : string list;  (** invariant violations; [] = consistent *)
-}
-
-val run_point : plan -> int -> point_report
-(** Replay the workload crashing at the given I/O (1-based), recover,
-    audit.  Raises [Invalid_argument] outside [1 .. crash_points]. *)
-
-type outcome = {
-  crash_points : int;
-  opened : int;
-  unopenable : int;  (** crash images from before the first commit *)
-  replayed : int;
-  discarded : int;
-  clean : int;  (** recovery verdicts across all points *)
-  problems : (int * string) list;  (** (crash point, violation) *)
-}
-
-val run : ?seed:int -> ?docs:int -> ?update_batches:int -> unit -> outcome
-(** Enumerate every crash point.  [problems = []] means the store
-    survived a crash at every single I/O of the workload. *)
-
-val pp_outcome : Format.formatter -> outcome -> unit
-
-(** {2 The shared fault-at-every-I/O sweep}
-
-    Every torture family follows the same loop: enumerate the golden
-    run's physical I/Os, replay the scenario once per point with a fault
-    armed at that I/O, tally the replay, and collect its problems tagged
-    with the point.  These two helpers are that loop, factored out so
-    the store, failover, scrub, epoch, ingest and shard sweeps share
-    one copy. *)
-
-val sweep_points :
-  ?seed_problems:string list -> points:int -> (int -> string list) -> (int * string) list
-(** [sweep_points ~points replay] calls [replay k] for [k = 1 ..
-    points]; each returned problem is tagged [(k, problem)].
-    [seed_problems] — golden-run audit violations — come back first,
-    tagged with point 0. *)
-
-val tally_recovery :
-  replayed:int ref -> discarded:int ref -> clean:int ref -> Mneme.Journal.recovery -> unit
-(** Bump the counter matching the journal-recovery verdict — the census
-    every store-level sweep reports. *)
 
 (** {2 Failover torture}
 
@@ -108,7 +124,11 @@ val tally_recovery :
     - the promoted store must open and pass {!Mneme.Check.run};
     - it must hold byte-for-byte the record set of its generation;
     - every query must return {e byte-identical ranked results} to the
-      golden run at that generation. *)
+      golden run at that generation.
+
+    Tallies: [points], [promoted] (crash points that yielded a
+    survivor), [empty] (crashes before any commit: the survivor is
+    legitimately empty). *)
 
 val failover_file : string
 (** Store file name used by the workload ("failover.mneme"). *)
@@ -117,40 +137,12 @@ val failover_log : string
 (** Journal log file name ("failover.log"). *)
 
 type failover_plan
+(** Per-generation contents, catalogs and ranked results. *)
 
 val prepare_failover :
-  ?seed:int -> ?docs:int -> ?batches:int -> ?standbys:int -> unit -> failover_plan
+  ?seed:int -> ?docs:int -> ?batches:int -> ?standbys:int -> unit -> failover_plan sweep
 (** Golden run (defaults: seed 42, 12 documents, 3 batches, 2
     standbys).  Raises [Invalid_argument] on non-positive counts. *)
-
-val failover_points : failover_plan -> int
-(** Physical I/Os the workload performs on the primary device. *)
-
-type failover_report = {
-  crash_at : int;
-  survivor : string;  (** promoted standby; "none" before attach *)
-  applied_lsn : int;  (** -1 when there was nothing to promote *)
-  problems : string list;  (** invariant violations; [] = consistent *)
-}
-
-val run_failover_point : failover_plan -> int -> failover_report
-(** Replay, crash the primary at the given I/O (1-based), promote,
-    audit.  Raises [Invalid_argument] outside [1 .. failover_points]. *)
-
-type failover_outcome = {
-  points : int;
-  promoted : int;  (** crash points that yielded a survivor *)
-  empty : int;  (** crashes before any commit: survivor legitimately empty *)
-  problems : (int * string) list;  (** (crash point, violation) *)
-}
-
-val run_failover :
-  ?seed:int -> ?docs:int -> ?batches:int -> ?standbys:int -> unit -> failover_outcome
-(** Enumerate every crash point.  [problems = []] means a standby
-    served the committed prefix byte-identically no matter where the
-    primary died. *)
-
-val pp_failover_outcome : Format.formatter -> failover_outcome -> unit
 
 (** {2 Scrub torture}
 
@@ -172,7 +164,11 @@ val pp_failover_outcome : Format.formatter -> failover_outcome -> unit
     - additionally ([crash_sweep]), the repair itself is crashed at
       every one of its primary-device I/Os; after reboot through journal
       recovery the surviving copies must still converge to the same
-      clean group. *)
+      clean group.
+
+    Tallies: [segments], [members], [healed] (heals applied across the
+    sweep), [crash_points] (crash-during-repair replays).  Problems are
+    tagged with the 1-based segment number in scrub walk order. *)
 
 type scrub_scenario
 (** A completed replicated workload plus its golden expectations: the
@@ -212,16 +208,6 @@ val audit_scenario : scrub_scenario -> string list
     files, golden ranked results and an empty quarantine.  Returns the
     violations ([] = converged). *)
 
-type scrub_outcome = {
-  sc_segments : int;
-  sc_members : int;
-  sc_healed : int;  (** heals applied across the sweep *)
-  sc_crash_points : int;  (** crash-during-repair replays exercised *)
-  sc_problems : (int * string) list;  (** (segment index, violation) *)
-}
-
-val scrub_ok : scrub_outcome -> bool
-
 val run_scrub :
   ?seed:int ->
   ?docs:int ->
@@ -230,13 +216,11 @@ val run_scrub :
   ?bits:int ->
   ?crash_sweep:bool ->
   unit ->
-  scrub_outcome
+  outcome
 (** The full sweep (defaults: seed 42, 12 documents, 3 batches, 2
-    standbys, 1 bit per rot, crash sweep on).  [sc_problems = []] means
-    every segment of every member healed back to a byte-identical,
+    standbys, 1 bit per rot, crash sweep on).  {!ok} means every
+    segment of every member healed back to a byte-identical,
     query-identical group — no matter where the repair was crashed. *)
-
-val pp_scrub_outcome : Format.formatter -> scrub_outcome -> unit
 
 type sweep_row = {
   sw_budget : int;  (** max bytes verified per scrub step *)
@@ -276,65 +260,28 @@ val scrub_budget_sweep :
       byte-identical to the golden view of that epoch, never a mix;
     - {b (c)} gc drains every stranded byte the interrupted epoch left
       behind, and a reader pinned in the golden run ranks
-      bit-identically no matter how much mutation (and gc) followed. *)
+      bit-identically no matter how much mutation (and gc) followed.
+
+    Tallies: [points], [opened], [unopenable], [wholly_old] (recovered
+    to the last epoch the replay saw commit), [wholly_new] (the log
+    fsync sealed the interrupted epoch), [replayed], [discarded],
+    [clean], [gc_reclaimed_objects] (objects the golden run's gc passes
+    freed). *)
 
 type epoch_plan
+(** The golden view of every published epoch. *)
 
-val prepare_epoch : ?seed:int -> ?docs:int -> unit -> epoch_plan
+val prepare_epoch : ?seed:int -> ?docs:int -> unit -> epoch_plan sweep
 (** Golden run (defaults: seed 42, 8 documents — roughly [4/3 · docs]
     epoch publications).  Counts the crash points, snapshots every
-    epoch's view, and audits pinned readers and gc; violations found in
-    the golden run itself are reported by {!run_epoch} as crash point
-    0.  Raises [Invalid_argument] on a non-positive [docs]. *)
-
-val epoch_points : epoch_plan -> int
-(** Physical I/Os in the golden run — the number of crash points. *)
-
-val epoch_mutations : epoch_plan -> int
-(** Epochs the golden run published. *)
-
-type epoch_report = {
-  crash_at : int;
-  recovery : Mneme.Journal.recovery;
-  opened : bool;
-  published : int;  (** epochs the replay saw commit before the crash *)
-  recovered_epoch : int;  (** -1 when unopenable *)
-  problems : string list;
-}
-
-val run_epoch_point : epoch_plan -> int -> epoch_report
-(** Replay with a crash at physical I/O [k] (1-based), recover, audit.
-    An unopenable image is only a problem if the replay had seen at
-    least one publication commit.  Raises [Invalid_argument] if [k] is
-    outside [1..epoch_points]. *)
-
-type epoch_outcome = {
-  e_points : int;
-  e_mutations : int;
-  e_opened : int;
-  e_unopenable : int;
-  e_wholly_old : int;  (** recovered to the last epoch the replay saw commit *)
-  e_wholly_new : int;  (** the log fsync sealed the interrupted epoch *)
-  e_replayed : int;
-  e_discarded : int;
-  e_clean : int;
-  e_reclaimed : int;  (** objects the golden run's gc passes freed *)
-  e_problems : (int * string) list;  (** crash point 0 = golden-run audit *)
-}
-
-val run_epoch : ?seed:int -> ?docs:int -> unit -> epoch_outcome
-(** Enumerate every crash point.  [e_problems = []] means every crash
-    recovered to a whole epoch with a clean store, every pinned reader
-    ranked bit-identically, and gc drained every stranded byte. *)
-
-val pp_epoch_outcome : Format.formatter -> epoch_outcome -> unit
+    epoch's view, and audits pinned readers and gc.  An unopenable
+    replay image is only a problem if the replay had seen at least one
+    publication commit.  Raises [Invalid_argument] on a non-positive
+    [docs]. *)
 
 val epoch_table : epoch_plan -> (int * int * int) list
 (** The golden run per epoch: [(epoch, documents, live terms)] — the
     view each published root seals. *)
-
-val epoch_golden_problems : epoch_plan -> string list
-(** Violations the golden run's own pin/gc audit found ([] = clean). *)
 
 (** {2 Ingest torture}
 
@@ -363,70 +310,25 @@ val epoch_golden_problems : epoch_plan -> string list
     - {b (d)} the merge resumes and drains: the buffer empties, the
       frontier reaches the last acknowledged operation, rankings do
       not move, the WAL is truncated, and gc leaves nothing
-      stranded. *)
+      stranded.
+
+    Tallies: [points], [acked_ops] (operations the golden run
+    acknowledged), [folds], [opened], [unopenable], [wholly_old]
+    (recovered to the last fold the replay saw commit), [wholly_new]
+    (the journal fsync sealed the interrupted fold), [replayed],
+    [discarded], [clean], [wal_redelivered] (WAL records recovery
+    re-applied across all replays), [gc_reclaimed_objects]. *)
 
 type ingest_plan
+(** The golden union after every operation, indexed by operation and by
+    acknowledged frontier. *)
 
-val prepare_ingest : ?seed:int -> ?docs:int -> unit -> ingest_plan
+val prepare_ingest : ?seed:int -> ?docs:int -> unit -> ingest_plan sweep
 (** Golden run (defaults: seed 42, 8 documents).  Counts the crash
     points, snapshots the union after every operation, indexes the
     observations by acknowledged frontier, and audits pinned readers,
-    the drain and gc; violations found in the golden run itself are
-    reported by {!run_ingest} as crash point 0.  Raises
-    [Invalid_argument] on a non-positive [docs]. *)
-
-val ingest_points : ingest_plan -> int
-(** Physical I/Os in the golden run — the number of crash points. *)
-
-val ingest_ops : ingest_plan -> int
-(** Operations (adds, deletes and merge steps) the golden run ran. *)
-
-val ingest_golden_problems : ingest_plan -> string list
-(** Violations the golden run's own pin/drain/gc audit found ([] =
-    clean). *)
-
-type ingest_report = {
-  i_crash_at : int;
-  i_recovery : Mneme.Journal.recovery;
-  i_opened : bool;
-  i_acked_seq : int;  (** last operation the replay saw acknowledged *)
-  i_recovered_seq : int;  (** [min_int] when unopenable *)
-  i_seen_folds : int;  (** folds the replay saw commit before the crash *)
-  i_recovered_folds : int;
-  i_redelivered : int;  (** WAL records recovery re-applied *)
-  i_problems : string list;
-}
-
-val run_ingest_point : ingest_plan -> int -> ingest_report
-(** Replay with a crash at physical I/O [k] (1-based), recover with
-    {!Ingest.open_}, audit exactly-once durability and the resumed
-    drain.  Raises [Invalid_argument] if [k] is outside
-    [1..ingest_points]. *)
-
-type ingest_outcome = {
-  i_points : int;
-  i_ops : int;
-  i_acked : int;  (** operations the golden run acknowledged *)
-  i_folds : int;
-  i_opened : int;
-  i_unopenable : int;
-  i_wholly_old : int;  (** recovered to the last fold the replay saw commit *)
-  i_wholly_new : int;  (** the journal fsync sealed the interrupted fold *)
-  i_replayed : int;
-  i_discarded : int;
-  i_clean : int;
-  i_redelivered : int;  (** WAL records re-applied across all replays *)
-  i_reclaimed : int;
-  i_problems : (int * string) list;  (** crash point 0 = golden-run audit *)
-}
-
-val run_ingest : ?seed:int -> ?docs:int -> unit -> ingest_outcome
-(** Enumerate every crash point.  [i_problems = []] means every crash
-    recovered every acknowledged document exactly once, served
-    byte-identical union rankings, resumed and drained its merge, and
-    left a clean store. *)
-
-val pp_ingest_outcome : Format.formatter -> ingest_outcome -> unit
+    the drain and gc.  Raises [Invalid_argument] on a non-positive
+    [docs]. *)
 
 val ingest_table : ingest_plan -> (int * int * int * int) list
 (** The golden run per operation: [(op, acked_seq, folds, documents)]. *)
@@ -455,33 +357,25 @@ val ingest_table : ingest_plan -> (int * int * int * int) list
       every shard and every covered document;
     - {b (c)} the deadline is overshot by at most one in-flight fetch
       (the stall or brownout latency) plus one clean run's worth of
-      CPU. *)
+      CPU.
 
-type shard_outcome = {
-  st_shards : int;
-  st_members : int;  (** replicas probed for serving-phase I/Os *)
-  st_points : int;  (** member serving I/Os enumerated *)
-  st_runs : int;  (** fault replays: sweep + blackouts + brownouts *)
-  st_full : int;  (** full-coverage query results audited *)
-  st_partial : int;  (** partial (degraded / shed) query results audited *)
-  st_overshoots : int;  (** deadline overshoots beyond one fetch *)
-  st_truncations : int;  (** silent truncations *)
-  st_problems : (int * string) list;  (** (replay number, violation); 0 = clean probe *)
-}
-
-val shard_ok : shard_outcome -> bool
-(** No problems, no overshoots, no truncations. *)
+    Tallies: [shards], [members] (replicas probed for serving-phase
+    I/Os), [points] (member serving I/Os enumerated), [runs] (fault
+    replays: sweep + blackouts + brownouts), [full] and [partial]
+    (query results audited), [overshoots] (deadline overshoots beyond
+    one fetch), [truncations] (silent truncations).  Problems are tagged
+    with the replay number; 0 is the clean probe.  Every overshoot and
+    truncation is also a problem. *)
 
 val run_shard :
-  ?seed:int -> ?docs:int -> ?shards:int -> ?replicas:int -> ?top_k:int -> unit -> shard_outcome
+  ?seed:int -> ?docs:int -> ?shards:int -> ?replicas:int -> ?top_k:int -> unit -> outcome
 (** The full sweep (defaults: seed 42, 24 documents, 2 shards, 2
-    replicas per shard, top-10).  [shard_ok] on the outcome means every
+    replicas per shard, top-10).  {!ok} on the outcome means every
     fault replay either served the exact unsharded ranking (hedged
     around the fault) or an exactly-restricted partial one, with the
     deadline bound honoured everywhere.  Raises [Invalid_argument] on
     non-positive counts or more shards than documents. *)
 
-val pp_shard_outcome : Format.formatter -> shard_outcome -> unit
 
 (** {1 Cache coherence under churn}
 
@@ -502,24 +396,17 @@ val pp_shard_outcome : Format.formatter -> shard_outcome -> unit
     - both invalidation mechanisms fire: the publication hook's eager
       drop and the probe-time epoch-mismatch purge (the harness gives
       results a one-epoch grace window precisely so the latter has
-      stale entries to catch). *)
+      stale entries to catch).
 
-type cache_outcome = {
-  ct_mutations : int;
-  ct_comparisons : int;  (** cached-vs-uncached rankings / streams compared *)
-  ct_result_hits : int;
-  ct_block_hits : int;
-  ct_invalidations : int;  (** hook drops + probe-time purges, both caches *)
-  ct_problems : (int * string) list;  (** (mutation, violation); 0 = audit phase *)
-}
+    A run that never exercised the machinery proves nothing, so no
+    result-cache hit, no block-cache hit or no invalidation is itself a
+    problem.  Tallies: [mutations], [comparisons] (cached-vs-uncached
+    rankings and streams compared), [result_hits], [block_hits],
+    [invalidations] (hook drops plus probe-time purges, both caches).
+    Problems are tagged with the mutation; 0 is the audit phase after
+    the churn. *)
 
-val cache_ok : cache_outcome -> bool
-(** No problems, and the run actually exercised the machinery: at least
-    one hit in each cache and at least one invalidation. *)
-
-val run_cache : ?seed:int -> ?docs:int -> unit -> cache_outcome
+val run_cache : ?seed:int -> ?docs:int -> unit -> outcome
 (** Run the churn (defaults: seed 42, 18 documents — roughly 24
     published epochs).  Raises [Invalid_argument] on a non-positive
     document count. *)
-
-val pp_cache_outcome : Format.formatter -> cache_outcome -> unit

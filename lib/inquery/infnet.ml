@@ -509,7 +509,7 @@ let linear_shape query =
   | _ -> None
 
 let eval_topk source dict ?df_of ?floor ?stopwords ?(stem = false) ?(audit = false)
-    ?(exhaustive = false) ?(plan = Planner.Auto)
+    ?(plan = Planner.Auto)
     ?(should_stop = fun (_ : stats) -> false) ?block_cache ~k query =
   if k < 0 then invalid_arg "Infnet.eval_topk: negative k";
   (match floor with
@@ -550,7 +550,6 @@ let eval_topk source dict ?df_of ?floor ?stopwords ?(stem = false) ?(audit = fal
       | Some entry -> Option.map Postings.record_stats (fetch_memo entry))
   in
   let requested =
-    let plan = if exhaustive then Planner.Forced Planner.Exhaustive else plan in
     match plan with
     | Planner.Auto -> (Planner.decide ~stats_of ~k query).Planner.e_plan
     | Planner.Forced p ->

@@ -123,7 +123,6 @@ val eval_topk :
   ?stopwords:Stopwords.t ->
   ?stem:bool ->
   ?audit:bool ->
-  ?exhaustive:bool ->
   ?plan:Planner.choice ->
   ?should_stop:(stats -> bool) ->
   ?block_cache:Util.Block_cache.t * int ->
@@ -175,8 +174,6 @@ val eval_topk :
     @param audit re-run the exhaustive evaluator and raise
     {!Audit_mismatch} if the executed plan's ranking diverges (docs or
     beliefs) — any plan, including a forced one.
-    @param exhaustive force the exhaustive plan (equivalent to
-    [~plan:(Forced Exhaustive)]; kept for existing callers).
     @param plan {!Planner.Auto} (default) picks the cheapest applicable
     plan; [Forced p] executes [p], falling back to the exhaustive plan
     when [p] does not apply to the query's shape.  Plan choice never

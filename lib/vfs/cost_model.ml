@@ -23,6 +23,11 @@ let default =
     os_cache_blocks = 512;
   }
 
+(* Milliseconds, from ns per posting and us per node. *)
+let engine_cpu_ms t ~postings_scored ~nodes_visited =
+  (float_of_int postings_scored *. t.cpu_ns_per_posting /. 1.0e6)
+  +. (float_of_int nodes_visited *. t.cpu_us_per_query_node /. 1.0e3)
+
 let create ?(block_size = default.block_size) ?(disk_read_ms = default.disk_read_ms)
     ?disk_seq_read_ms
     ?(disk_write_ms = default.disk_write_ms) ?(syscall_ms = default.syscall_ms)

@@ -32,6 +32,11 @@ type t = {
 val default : t
 (** The DESIGN.md constants. *)
 
+val engine_cpu_ms : t -> postings_scored:int -> nodes_visited:int -> float
+(** Simulated engine CPU for one evaluation: [cpu_ns_per_posting] per
+    posting scored plus [cpu_us_per_query_node] per query-tree node
+    visit, in milliseconds. *)
+
 val create :
   ?block_size:int ->
   ?disk_read_ms:float ->

@@ -238,8 +238,8 @@ let test_stalled_deadline_result_never_cached () =
 
 let test_torture_cache () =
   let o = Core.Torture.run_cache () in
-  if not (Core.Torture.cache_ok o) then
-    Alcotest.failf "cache torture: %s" (Format.asprintf "%a" Core.Torture.pp_cache_outcome o)
+  if not (Core.Torture.ok o) then
+    Alcotest.failf "cache torture: %s" (Format.asprintf "%a" Core.Torture.pp o)
 
 (* Satellite property: under random add/delete interleavings, across
    the lex/stem presets, the cached read path equals the uncached one

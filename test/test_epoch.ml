@@ -24,22 +24,20 @@ let queries =
 (* --- crash-point enumeration (the tentpole audit) ------------------ *)
 
 let test_every_epoch_point_recovers_whole () =
-  let o = Core.Torture.run_epoch ~seed:42 ~docs:6 () in
-  Alcotest.(check bool) "workload performs I/O" true (o.Core.Torture.e_points > 30);
+  let o = Core.Torture.(run_sweep (prepare_epoch ~seed:42 ~docs:6 ())) in
+  let n = Core.Torture.tally o in
+  Alcotest.(check bool) "workload performs I/O" true (n "points" > 30);
   Alcotest.(check (list (pair int string)))
-    "no invariant violations" [] o.Core.Torture.e_problems;
-  Alcotest.(check int) "every point audited" o.Core.Torture.e_points
-    (o.Core.Torture.e_opened + o.Core.Torture.e_unopenable);
-  Alcotest.(check bool) "most crash images open" true
-    (o.Core.Torture.e_opened > o.Core.Torture.e_unopenable);
+    "no invariant violations" [] o.Core.Torture.problems;
+  Alcotest.(check int) "every point audited" (n "points") (n "opened" + n "unopenable");
+  Alcotest.(check bool) "most crash images open" true (n "opened" > n "unopenable");
   (* Crashes before the commit record seals leave the old epoch ... *)
-  Alcotest.(check bool) "some roots wholly old" true (o.Core.Torture.e_wholly_old > 0);
+  Alcotest.(check bool) "some roots wholly old" true (n "wholly_old" > 0);
   (* ... crashes after it leave the new one — never a mix. *)
-  Alcotest.(check bool) "some roots wholly new" true (o.Core.Torture.e_wholly_new > 0);
-  Alcotest.(check bool) "some logs replayed" true (o.Core.Torture.e_replayed > 0);
-  Alcotest.(check bool) "some logs discarded" true (o.Core.Torture.e_discarded > 0);
-  Alcotest.(check bool) "golden gc reclaimed retired epochs" true
-    (o.Core.Torture.e_reclaimed > 0)
+  Alcotest.(check bool) "some roots wholly new" true (n "wholly_new" > 0);
+  Alcotest.(check bool) "some logs replayed" true (n "replayed" > 0);
+  Alcotest.(check bool) "some logs discarded" true (n "discarded" > 0);
+  Alcotest.(check bool) "golden gc reclaimed retired epochs" true (n "gc_reclaimed_objects" > 0)
 
 let prop_random_epoch_crash_point_whole =
   let plans = Hashtbl.create 4 in
@@ -55,9 +53,9 @@ let prop_random_epoch_crash_point_whole =
     QCheck.(pair (int_range 1 3) (int_range 0 999))
     (fun (seed, frac) ->
       let plan = plan_for seed in
-      let n = Core.Torture.epoch_points plan in
+      let n = Core.Torture.points plan in
       let k = 1 + (frac * n / 1000) in
-      let r = Core.Torture.run_epoch_point plan k in
+      let r = Core.Torture.run_point plan k in
       r.Core.Torture.problems = [])
 
 (* --- statistics drift under randomized churn ----------------------- *)

@@ -92,7 +92,7 @@ let full_oracle () =
   let p = Lazy.force prepared in
   let engine = Core.Experiment.open_engine p Core.Experiment.Mneme_cache in
   pairs
-    (Core.Engine.run_topk_string ~exhaustive:true ~k:24 engine big_query)
+    (Core.Engine.run_topk_string ~plan:Inquery.Planner.(Forced Exhaustive) ~k:24 engine big_query)
       .Core.Engine.topk_ranked
 
 let restrict ranges l =

@@ -3,17 +3,16 @@
    store; deliberate media corruption must be detected, never served. *)
 
 let test_every_crash_point_recovers () =
-  let o = Core.Torture.run ~seed:42 ~docs:10 ~update_batches:3 () in
-  Alcotest.(check bool) "workload performs I/O" true (o.Core.Torture.crash_points > 30);
+  let o = Core.Torture.(run_sweep (prepare ~seed:42 ~docs:10 ~update_batches:3 ())) in
+  let n = Core.Torture.tally o in
+  Alcotest.(check bool) "workload performs I/O" true (n "points" > 30);
   Alcotest.(check (list (pair int string))) "no invariant violations" [] o.Core.Torture.problems;
-  Alcotest.(check int) "every point audited" o.Core.Torture.crash_points
-    (o.Core.Torture.opened + o.Core.Torture.unopenable);
-  Alcotest.(check bool) "most crash images open" true
-    (o.Core.Torture.opened > o.Core.Torture.unopenable);
+  Alcotest.(check int) "every point audited" (n "points") (n "opened" + n "unopenable");
+  Alcotest.(check bool) "most crash images open" true (n "opened" > n "unopenable");
   (* Crashes during an apply phase leave a committed log to replay. *)
-  Alcotest.(check bool) "some logs replayed" true (o.Core.Torture.replayed > 0);
+  Alcotest.(check bool) "some logs replayed" true (n "replayed" > 0);
   (* Crashes during a log write leave an uncommitted log to discard. *)
-  Alcotest.(check bool) "some logs discarded" true (o.Core.Torture.discarded > 0)
+  Alcotest.(check bool) "some logs discarded" true (n "discarded" > 0)
 
 (* Random seeds and random crash points — the qcheck angle on the same
    invariant.  Plans are prepared once per seed and shared. *)
@@ -31,7 +30,7 @@ let prop_random_crash_point_consistent =
     QCheck.(pair (int_range 1 4) (int_range 0 999))
     (fun (seed, frac) ->
       let plan = plan_for seed in
-      let n = Core.Torture.crash_points plan in
+      let n = Core.Torture.points plan in
       let k = 1 + (frac * n / 1000) in
       let r = Core.Torture.run_point plan k in
       r.Core.Torture.problems = [])
@@ -39,16 +38,17 @@ let prop_random_crash_point_consistent =
 (* --- failover torture --------------------------------------------- *)
 
 let test_every_failover_point_serves_committed_prefix () =
-  let o = Core.Torture.run_failover ~seed:42 ~docs:10 ~batches:3 ~standbys:2 () in
-  Alcotest.(check bool) "workload performs I/O" true (o.Core.Torture.points > 30);
+  let o =
+    Core.Torture.(run_sweep (prepare_failover ~seed:42 ~docs:10 ~batches:3 ~standbys:2 ()))
+  in
+  let n = Core.Torture.tally o in
+  Alcotest.(check bool) "workload performs I/O" true (n "points" > 30);
   Alcotest.(check (list (pair int string))) "no invariant violations" []
     o.Core.Torture.problems;
-  Alcotest.(check int) "every point audited" o.Core.Torture.points
-    (o.Core.Torture.promoted + o.Core.Torture.empty);
+  Alcotest.(check int) "every point audited" (n "points") (n "promoted" + n "empty");
   (* Once the first batch commits, every later crash leaves a standby
      holding a committed prefix to promote. *)
-  Alcotest.(check bool) "most crashes promote a survivor" true
-    (o.Core.Torture.promoted > o.Core.Torture.empty)
+  Alcotest.(check bool) "most crashes promote a survivor" true (n "promoted" > n "empty")
 
 let prop_random_failover_point_consistent =
   let plans = Hashtbl.create 4 in
@@ -64,24 +64,21 @@ let prop_random_failover_point_consistent =
     QCheck.(pair (int_range 1 3) (int_range 0 999))
     (fun (seed, frac) ->
       let plan = plan_for seed in
-      let n = Core.Torture.failover_points plan in
+      let n = Core.Torture.points plan in
       let k = 1 + (frac * n / 1000) in
-      let r = Core.Torture.run_failover_point plan k in
+      let r = Core.Torture.run_point plan k in
       r.Core.Torture.problems = [])
 
 (* --- scrub torture ------------------------------------------------- *)
 
 let test_scrub_sweep_heals_every_segment () =
   let o = Core.Torture.run_scrub ~seed:42 ~docs:8 ~batches:2 ~standbys:1 () in
-  Alcotest.(check bool)
-    (Format.asprintf "%a" Core.Torture.pp_scrub_outcome o)
-    true (Core.Torture.scrub_ok o);
-  Alcotest.(check bool) "several segments swept" true (o.Core.Torture.sc_segments > 2);
-  Alcotest.(check int) "primary plus standby" 2 o.Core.Torture.sc_members;
-  Alcotest.(check int) "one heal per rotted segment" o.Core.Torture.sc_segments
-    o.Core.Torture.sc_healed;
-  Alcotest.(check bool) "crash-during-repair points exercised" true
-    (o.Core.Torture.sc_crash_points > 0)
+  let n = Core.Torture.tally o in
+  Alcotest.(check bool) (Format.asprintf "%a" Core.Torture.pp o) true (Core.Torture.ok o);
+  Alcotest.(check bool) "several segments swept" true (n "segments" > 2);
+  Alcotest.(check int) "primary plus standby" 2 (n "members");
+  Alcotest.(check int) "one heal per rotted segment" (n "segments") (n "healed");
+  Alcotest.(check bool) "crash-during-repair points exercised" true (n "crash_points" > 0)
 
 let test_scrub_budget_sweep_tradeoff () =
   let rows =
@@ -253,13 +250,14 @@ let test_shard_sweep_is_clean () =
   let o = Core.Torture.run_shard ~seed:7 ~docs:16 ~shards:2 ~replicas:2 () in
   List.iter
     (fun (run, p) -> Printf.printf "shard torture replay %d: %s\n" run p)
-    o.Core.Torture.st_problems;
-  Alcotest.(check bool) "serving I/Os enumerated" true (o.Core.Torture.st_points > 0);
-  Alcotest.(check bool) "partial results exercised" true (o.Core.Torture.st_partial > 0);
-  Alcotest.(check bool) "full-coverage results exercised" true (o.Core.Torture.st_full > 0);
-  Alcotest.(check int) "no overshoots" 0 o.Core.Torture.st_overshoots;
-  Alcotest.(check int) "no truncations" 0 o.Core.Torture.st_truncations;
-  Alcotest.(check bool) "sweep clean" true (Core.Torture.shard_ok o)
+    o.Core.Torture.problems;
+  let n = Core.Torture.tally o in
+  Alcotest.(check bool) "serving I/Os enumerated" true (n "points" > 0);
+  Alcotest.(check bool) "partial results exercised" true (n "partial" > 0);
+  Alcotest.(check bool) "full-coverage results exercised" true (n "full" > 0);
+  Alcotest.(check int) "no overshoots" 0 (n "overshoots");
+  Alcotest.(check int) "no truncations" 0 (n "truncations");
+  Alcotest.(check bool) "sweep clean" true (Core.Torture.ok o)
 
 let suite =
   [
