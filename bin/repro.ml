@@ -7,6 +7,7 @@
    dune exec bin/repro.exe -- query cacm "#phrase( ba be )" *)
 
 open Cmdliner
+module J = Util.Json
 
 let scale_arg =
   let doc = "Collection scale factor (1.0 = calibrated defaults)." in
@@ -18,16 +19,80 @@ let collection_arg =
 
 let progress msg = Printf.eprintf "%s\n%!" msg
 
-(* Every torture family reports one [Core.Torture.outcome]: printed by
-   the shared printer, nested as one object of its subcommand's BENCH
-   JSON, and failing the subcommand when it holds a problem. *)
+(* --- shared plumbing ---------------------------------------------- *)
+
+(* Arguments the measuring and torture subcommands share; each passes
+   its own doc string where the wording differs. *)
+
+let collections_arg =
+  let doc = "Collections to measure (default: all four)." in
+  Arg.(
+    value
+    & pos_all string [ "cacm"; "legal"; "tipster1"; "tipster" ]
+    & info [] ~docv:"COLLECTION" ~doc)
+
+let k_arg doc = Arg.(value & opt int 10 & info [ "k" ] ~docv:"K" ~doc)
+let queries_arg doc = Arg.(value & opt (some int) None & info [ "queries" ] ~docv:"N" ~doc)
+let audit_arg doc = Arg.(value & flag & info [ "audit" ] ~doc)
+let json_arg doc = Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
+
+let seed_arg =
+  let doc = "PRNG seed for the workload." in
+  Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
+
+let docs_arg default doc = Arg.(value & opt int default & info [ "docs" ] ~docv:"N" ~doc)
+let batches_arg doc = Arg.(value & opt int 3 & info [ "batches" ] ~docv:"N" ~doc)
+
+let standbys_arg =
+  let doc = "Standby replicas shipping the primary's journal." in
+  Arg.(value & opt int 2 & info [ "standbys" ] ~docv:"N" ~doc)
+
+let usage_error cmd msg =
+  Printf.eprintf "%s: %s\n" cmd msg;
+  exit 2
+
+let audit_failed cmd name msg q =
+  Printf.eprintf "%s: AUDIT FAILED on %s: %s\n  query: %s\n" cmd name msg q;
+  exit 1
+
+(* Build collection [name] and the first [limit] queries of the set
+   [spec] draws for it. *)
+let load ~scale ~limit spec name =
+  let model = Collections.Presets.find ~scale name in
+  let prepared = Core.Experiment.prepare ~progress model in
+  let queries = Collections.Querygen.generate model (spec model) in
+  let queries =
+    match limit with None -> queries | Some n -> List.filteri (fun i _ -> i < n) queries
+  in
+  (model, prepared, queries)
+
+let ratio a b = if b > 0 then float_of_int a /. float_of_int b else infinity
+let table = Core.Run_report.table
+
+(* The params every query-set sweep records. *)
+let sweep_params ~scale ~limit ~audit =
+  [
+    ("scale", J.Float (3, scale));
+    ("query_limit", Option.fold ~none:J.Null ~some:(fun n -> J.Int n) limit);
+    ("audited", J.Bool audit);
+  ]
+
+(* Every measuring subcommand ends here: print the report's tables,
+   write its BENCH file when --json asks, and exit 1 when its audit or
+   the caller's own check ([failed]) found a problem. *)
+let emit ?(failed = false) json command params tables audit =
+  let r = { Core.Run_report.command; params; tables; audit } in
+  print_string (Core.Run_report.render r);
+  Option.iter
+    (fun file ->
+      Out_channel.with_open_text file (fun oc ->
+          Printf.fprintf oc "%s\n" (J.to_string (Core.Run_report.to_json r)));
+      Printf.printf "wrote %s\n" file)
+    json;
+  if failed || Core.Run_report.failed r then exit 1
+
+(* The torture sweeps print their [Core.Torture.outcome] alone. *)
 let print_outcome o = Format.printf "%a@." Core.Torture.pp o
-
-let outcome_json key = function
-  | None -> ""
-  | Some o -> Printf.sprintf ",\n  %S: %s" key (Core.Torture.to_json o)
-
-let outcome_failed = function Some o -> not (Core.Torture.ok o) | None -> false
 
 (* --- tables ------------------------------------------------------- *)
 
@@ -202,105 +267,54 @@ let fsck_cmd =
 (* --- topk --------------------------------------------------------- *)
 
 let topk_cmd =
-  let collections_arg =
-    let doc = "Collections to measure (default: all four)." in
-    Arg.(value & pos_all string [] & info [] ~docv:"COLLECTION" ~doc)
-  in
-  let k_arg =
-    let doc = "Result-list depth for the pruned evaluator." in
-    Arg.(value & opt int 10 & info [ "k" ] ~docv:"K" ~doc)
-  in
-  let queries_arg =
-    let doc = "Evaluate only the first N queries of each set." in
-    Arg.(value & opt (some int) None & info [ "queries" ] ~docv:"N" ~doc)
-  in
-  let audit_arg =
-    let doc =
-      "Re-run the exhaustive evaluator after every pruned query and fail \
-       if the rankings differ in any document or belief."
-    in
-    Arg.(value & flag & info [ "audit" ] ~doc)
-  in
-  let json_arg =
-    let doc = "Also write the per-collection numbers as JSON to FILE." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  let run scale names k n_queries audit json_file =
-    if k <= 0 then begin
-      Printf.eprintf "topk: --k must be positive\n";
-      exit 2
-    end;
-    let names =
-      match names with [] -> [ "cacm"; "legal"; "tipster1"; "tipster" ] | ns -> ns
-    in
-    let rows =
-      List.map
-        (fun name ->
-          let model = Collections.Presets.find ~scale name in
-          let prepared = Core.Experiment.prepare ~progress model in
-          let spec = Collections.Presets.topk_queries model in
-          let queries = Collections.Querygen.generate model spec in
-          let queries =
-            match n_queries with
-            | None -> queries
-            | Some n -> List.filteri (fun i _ -> i < n) queries
-          in
-          (* Exhaustive baseline and pruned run use separate engine
-             sessions so buffer state cannot leak between them. *)
-          let exhaustive_decoded = ref 0 in
-          let ex = Core.Experiment.open_engine prepared Core.Experiment.Mneme_cache in
-          List.iter
-            (fun q ->
-              let r =
-                Core.Engine.run_topk_string
-                  ~plan:(Inquery.Planner.Forced Inquery.Planner.Exhaustive) ~k ex q
-              in
-              exhaustive_decoded := !exhaustive_decoded + r.Core.Engine.topk_postings_decoded)
-            queries;
-          let engine = Core.Experiment.open_engine prepared Core.Experiment.Mneme_cache in
-          let decoded = ref 0 and total = ref 0 in
-          let blocks = ref 0 and seeks = ref 0 and pruned_q = ref 0 in
-          List.iter
-            (fun q ->
-              match Core.Engine.run_topk_string ~audit ~k engine q with
-              | r ->
-                decoded := !decoded + r.Core.Engine.topk_postings_decoded;
-                total := !total + r.Core.Engine.topk_postings_total;
-                blocks := !blocks + r.Core.Engine.topk_blocks_skipped;
-                seeks := !seeks + r.Core.Engine.topk_seeks;
-                if r.Core.Engine.topk_pruned then incr pruned_q
-              | exception Inquery.Infnet.Audit_mismatch msg ->
-                Printf.eprintf "topk: AUDIT FAILED on %s: %s\n  query: %s\n" name msg q;
-                exit 1)
-            queries;
-          (name, List.length queries, !total, !exhaustive_decoded, !decoded, !blocks, !seeks,
-           !pruned_q))
-        names
-    in
-    Printf.printf "%-10s %8s %12s %12s %12s %8s %10s %8s %7s\n" "collection" "queries"
-      "postings" "exhaustive" "pruned" "ratio" "blocks" "seeks" "pruned";
-    List.iter
-      (fun (name, nq, total, ex, dec, blocks, seeks, pq) ->
-        let ratio = if dec > 0 then float_of_int ex /. float_of_int dec else infinity in
-        Printf.printf "%-10s %8d %12d %12d %12d %7.2fx %10d %8d %4d/%d\n" name nq total ex dec
-          ratio blocks seeks pq nq)
-      rows;
-    if audit then Printf.printf "audit: every pruned ranking matched the exhaustive one\n";
-    match json_file with
-    | None -> ()
-    | Some file ->
-      let oc = open_out file in
-      let row_json (name, nq, total, ex, dec, blocks, seeks, pq) =
-        Printf.sprintf
-          "  { \"collection\": %S, \"queries\": %d, \"k\": %d, \"postings_total\": %d,\n\
-          \    \"postings_decoded_exhaustive\": %d, \"postings_decoded_pruned\": %d,\n\
-          \    \"blocks_skipped\": %d, \"seeks\": %d, \"queries_pruned\": %d,\n\
-          \    \"audited\": %b }"
-          name nq k total ex dec blocks seeks pq audit
+  let run scale names k limit audit json =
+    if k <= 0 then usage_error "topk" "--k must be positive";
+    let row name =
+      let _, prepared, queries = load ~scale ~limit Collections.Presets.topk_queries name in
+      (* Exhaustive baseline and pruned run use separate engine
+         sessions so buffer state cannot leak between them. *)
+      let ex = Core.Experiment.open_engine prepared Core.Experiment.Mneme_cache in
+      let exhaustive =
+        List.fold_left
+          (fun acc q ->
+            let r =
+              Core.Engine.run_topk_string
+                ~plan:(Inquery.Planner.Forced Inquery.Planner.Exhaustive) ~k ex q
+            in
+            acc + r.Core.Engine.topk_postings_decoded)
+          0 queries
       in
-      Printf.fprintf oc "[\n%s\n]\n" (String.concat ",\n" (List.map row_json rows));
-      close_out oc;
-      Printf.printf "wrote %s\n" file
+      let engine = Core.Experiment.open_engine prepared Core.Experiment.Mneme_cache in
+      let rs =
+        List.map
+          (fun q ->
+            try Core.Engine.run_topk_string ~audit ~k engine q
+            with Inquery.Infnet.Audit_mismatch msg -> audit_failed "topk" name msg q)
+          queries
+      in
+      let sum f = List.fold_left (fun acc r -> acc + f r) 0 rs in
+      let decoded = sum (fun r -> r.Core.Engine.topk_postings_decoded) in
+      [
+        J.String name;
+        J.Int (List.length queries);
+        J.Int (sum (fun r -> r.Core.Engine.topk_postings_total));
+        J.Int exhaustive;
+        J.Int decoded;
+        J.Float (2, ratio exhaustive decoded);
+        J.Int (sum (fun r -> r.Core.Engine.topk_blocks_skipped));
+        J.Int (sum (fun r -> r.Core.Engine.topk_seeks));
+        J.Int (sum (fun r -> if r.Core.Engine.topk_pruned then 1 else 0));
+      ]
+    in
+    emit json "topk"
+      (("k", J.Int k) :: sweep_params ~scale ~limit ~audit)
+      [
+        table "collections"
+          [ "collection"; "queries"; "postings_total"; "postings_decoded_exhaustive";
+            "postings_decoded_pruned"; "ratio"; "blocks_skipped"; "seeks"; "queries_pruned" ]
+          (List.map row names);
+      ]
+      None
   in
   let doc =
     "Measure max-score top-k pruning against exhaustive \
@@ -309,34 +323,18 @@ let topk_cmd =
      result-identity audit."
   in
   Cmd.v (Cmd.info "topk" ~doc)
-    Term.(const run $ scale_arg $ collections_arg $ k_arg $ queries_arg $ audit_arg $ json_arg)
+    Term.(
+      const run $ scale_arg $ collections_arg
+      $ k_arg "Result-list depth for the pruned evaluator."
+      $ queries_arg "Evaluate only the first N queries of each set."
+      $ audit_arg
+          "Re-run the exhaustive evaluator after every pruned query and fail \
+           if the rankings differ in any document or belief."
+      $ json_arg "Also write the per-collection numbers as JSON to FILE.")
 
 (* --- plan --------------------------------------------------------- *)
 
 let plan_cmd =
-  let collections_arg =
-    let doc = "Collections to measure (default: all four)." in
-    Arg.(value & pos_all string [] & info [] ~docv:"COLLECTION" ~doc)
-  in
-  let k_arg =
-    let doc = "Result-list depth." in
-    Arg.(value & opt int 10 & info [ "k" ] ~docv:"K" ~doc)
-  in
-  let queries_arg =
-    let doc = "Evaluate only the first N queries of each set." in
-    Arg.(value & opt (some int) None & info [ "queries" ] ~docv:"N" ~doc)
-  in
-  let audit_arg =
-    let doc =
-      "Audit every run — auto and both forced plans — against the \
-       exhaustive evaluator and fail unless each ranking is bit-identical."
-    in
-    Arg.(value & flag & info [ "audit" ] ~doc)
-  in
-  let json_arg =
-    let doc = "Also write the per-class numbers as JSON to FILE." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
   let class_of q =
     match q with
     | Inquery.Query.And _ -> "conjunctive"
@@ -348,129 +346,72 @@ let plan_cmd =
       | _ -> "other")
   in
   let classes = [ "flat"; "conjunctive"; "phrase"; "window"; "other" ] in
-  let run scale names k n_queries audit json_file =
-    if k <= 0 then begin
-      Printf.eprintf "plan: --k must be positive\n";
-      exit 2
-    end;
-    let names =
-      match names with [] -> [ "cacm"; "legal"; "tipster1"; "tipster" ] | ns -> ns
-    in
-    let rows =
-      List.map
-        (fun name ->
-          let model = Collections.Presets.find ~scale name in
-          let prepared = Core.Experiment.prepare ~progress model in
-          let spec = Collections.Presets.planner_queries model in
-          let queries = Collections.Querygen.generate model spec in
-          let queries =
-            match n_queries with
-            | None -> queries
-            | Some n -> List.filteri (fun i _ -> i < n) queries
-          in
-          let qclasses = List.map (fun q -> class_of (Inquery.Query.parse_exn q)) queries in
-          (* One engine session per mode so buffer state cannot leak
-             between the baseline and the measured runs. *)
-          let run_mode choice =
-            let engine = Core.Experiment.open_engine prepared Core.Experiment.Mneme_cache in
-            List.map
-              (fun q ->
-                match Core.Engine.run_topk_string ~audit ~plan:choice ~k engine q with
-                | r -> r
-                | exception Inquery.Infnet.Audit_mismatch msg ->
-                  Printf.eprintf "plan: AUDIT FAILED on %s: %s\n  query: %s\n" name msg q;
-                  exit 1)
-              queries
-          in
-          let ex = run_mode (Inquery.Planner.Forced Inquery.Planner.Exhaustive) in
-          let ms = run_mode (Inquery.Planner.Forced Inquery.Planner.Maxscore) in
-          let it = run_mode (Inquery.Planner.Forced Inquery.Planner.Intersect) in
-          let auto = run_mode Inquery.Planner.Auto in
-          (* Per-class aggregation.  The shape-dispatch baseline is the
-             pre-planner policy: flat shapes take max-score, everything
-             else runs exhaustive. *)
-          let per_class =
-            List.map
-              (fun cls ->
-                let sum field rs =
-                  List.fold_left2
-                    (fun acc c r -> if String.equal c cls then acc + field r else acc)
-                    0 qclasses rs
-                in
-                let count = List.length (List.filter (String.equal cls) qclasses) in
-                let bytes r = r.Core.Engine.topk_bytes_read in
-                let shape_bytes =
-                  List.fold_left2
-                    (fun acc c (r_ms, r_ex) ->
-                      if not (String.equal c cls) then acc
-                      else if String.equal cls "flat" then acc + bytes r_ms
-                      else acc + bytes r_ex)
-                    0 qclasses (List.combine ms ex)
-                in
-                let plan_count p =
-                  List.fold_left2
-                    (fun acc c r ->
-                      if String.equal c cls && r.Core.Engine.topk_plan = p then acc + 1
-                      else acc)
-                    0 qclasses auto
-                in
-                ( cls,
-                  count,
-                  (sum bytes ex, sum bytes ms, sum bytes it),
-                  shape_bytes,
-                  sum bytes auto,
-                  sum (fun r -> r.Core.Engine.topk_est_bytes) auto,
-                  ( plan_count Inquery.Planner.Maxscore,
-                    plan_count Inquery.Planner.Intersect,
-                    plan_count Inquery.Planner.Exhaustive ) ))
-              classes
-            |> List.filter (fun (_, count, _, _, _, _, _) -> count > 0)
-          in
-          (name, List.length queries, per_class))
-        names
-    in
-    Printf.printf "%-10s %-12s %7s %12s %12s %12s %7s %12s %14s\n" "collection" "class"
-      "queries" "exhaustive" "shape" "auto" "ratio" "auto est" "plans m/i/e";
-    List.iter
-      (fun (name, _, per_class) ->
-        List.iteri
-          (fun i (cls, count, (ex_b, _, _), shape_b, auto_b, est_b, (pm, pi, pe)) ->
-            let ratio =
-              if auto_b > 0 then float_of_int shape_b /. float_of_int auto_b else infinity
-            in
-            Printf.printf "%-10s %-12s %7d %12d %12d %12d %6.2fx %12d %8d/%d/%d\n"
-              (if i = 0 then name else "")
-              cls count ex_b shape_b auto_b ratio est_b pm pi pe)
-          per_class)
-      rows;
-    if audit then
-      Printf.printf "audit: every plan's ranking matched the exhaustive one bit-for-bit\n";
-    match json_file with
-    | None -> ()
-    | Some file ->
-      let oc = open_out file in
-      let class_json (cls, count, (ex_b, ms_b, it_b), shape_b, auto_b, est_b, (pm, pi, pe)) =
-        let ratio =
-          if auto_b > 0 then float_of_int shape_b /. float_of_int auto_b else 0.0
+  let run scale names k limit audit json =
+    if k <= 0 then usage_error "plan" "--k must be positive";
+    let per_collection name =
+      let _, prepared, queries = load ~scale ~limit Collections.Presets.planner_queries name in
+      let qclasses = List.map (fun q -> class_of (Inquery.Query.parse_exn q)) queries in
+      (* One engine session per mode so buffer state cannot leak
+         between the baseline and the measured runs. *)
+      let run_mode choice =
+        let engine = Core.Experiment.open_engine prepared Core.Experiment.Mneme_cache in
+        List.map
+          (fun q ->
+            try Core.Engine.run_topk_string ~audit ~plan:choice ~k engine q
+            with Inquery.Infnet.Audit_mismatch msg -> audit_failed "plan" name msg q)
+          queries
+      in
+      let ex = run_mode (Inquery.Planner.Forced Inquery.Planner.Exhaustive) in
+      let ms = run_mode (Inquery.Planner.Forced Inquery.Planner.Maxscore) in
+      let it = run_mode (Inquery.Planner.Forced Inquery.Planner.Intersect) in
+      let auto = run_mode Inquery.Planner.Auto in
+      (* Per-class sums.  The shape-dispatch baseline is the pre-planner
+         policy: flat shapes take max-score, everything else runs
+         exhaustive. *)
+      let class_row cls =
+        let sum field rs =
+          List.fold_left2
+            (fun acc c r -> if String.equal c cls then acc + field r else acc)
+            0 qclasses rs
         in
-        Printf.sprintf
-          "      { \"class\": %S, \"queries\": %d,\n\
-          \        \"bytes\": { \"exhaustive\": %d, \"maxscore\": %d, \"intersect\": %d,\n\
-          \                   \"shape_dispatch\": %d, \"auto\": %d },\n\
-          \        \"ratio_shape_over_auto\": %.4f, \"auto_est_bytes\": %d,\n\
-          \        \"auto_plans\": { \"maxscore\": %d, \"intersect\": %d, \"exhaustive\": %d } }"
-          cls count ex_b ms_b it_b shape_b auto_b ratio est_b pm pi pe
+        let bytes r = r.Core.Engine.topk_bytes_read in
+        let plans p = sum (fun r -> if r.Core.Engine.topk_plan = p then 1 else 0) auto in
+        let shape = sum bytes (if String.equal cls "flat" then ms else ex) in
+        let auto_bytes = sum bytes auto in
+        [
+          J.String name;
+          J.String cls;
+          J.Int (List.length (List.filter (String.equal cls) qclasses));
+          J.Int (sum bytes ex);
+          J.Int (sum bytes ms);
+          J.Int (sum bytes it);
+          J.Int shape;
+          J.Int auto_bytes;
+          J.Float (4, ratio shape auto_bytes);
+          J.Int (sum (fun r -> r.Core.Engine.topk_est_bytes) auto);
+          J.Int (plans Inquery.Planner.Maxscore);
+          J.Int (plans Inquery.Planner.Intersect);
+          J.Int (plans Inquery.Planner.Exhaustive);
+        ]
       in
-      let row_json (name, nq, per_class) =
-        Printf.sprintf
-          "  { \"collection\": %S, \"queries\": %d, \"k\": %d, \"audited\": %b,\n\
-          \    \"classes\": [\n%s\n    ] }"
-          name nq k audit
-          (String.concat ",\n" (List.map class_json per_class))
-      in
-      Printf.fprintf oc "[\n%s\n]\n" (String.concat ",\n" (List.map row_json rows));
-      close_out oc;
-      Printf.printf "wrote %s\n" file
+      ( [ J.String name; J.Int (List.length queries) ],
+        List.filter_map
+          (fun cls -> if List.mem cls qclasses then Some (class_row cls) else None)
+          classes )
+    in
+    let results = List.map per_collection names in
+    emit json "plan"
+      (("k", J.Int k) :: sweep_params ~scale ~limit ~audit)
+      [
+        table "collections" [ "collection"; "queries" ] (List.map fst results);
+        table "classes"
+          [ "collection"; "class"; "queries"; "bytes_exhaustive"; "bytes_maxscore";
+            "bytes_intersect"; "bytes_shape_dispatch"; "bytes_auto"; "ratio_shape_over_auto";
+            "auto_est_bytes"; "auto_plans_maxscore"; "auto_plans_intersect";
+            "auto_plans_exhaustive" ]
+          (List.concat_map snd results);
+      ]
+      None
   in
   let doc =
     "Measure the cost-based query planner on the mixed-workload sets: \
@@ -480,23 +421,17 @@ let plan_cmd =
      audit of every plan."
   in
   Cmd.v (Cmd.info "plan" ~doc)
-    Term.(const run $ scale_arg $ collections_arg $ k_arg $ queries_arg $ audit_arg $ json_arg)
+    Term.(
+      const run $ scale_arg $ collections_arg $ k_arg "Result-list depth."
+      $ queries_arg "Evaluate only the first N queries of each set."
+      $ audit_arg
+          "Audit every run — auto and both forced plans — against the \
+           exhaustive evaluator and fail unless each ranking is bit-identical."
+      $ json_arg "Also write the per-class numbers as JSON to FILE.")
 
 (* --- cache -------------------------------------------------------- *)
 
 let cache_cmd =
-  let collections_arg =
-    let doc = "Collections to measure (default: all four)." in
-    Arg.(value & pos_all string [] & info [] ~docv:"COLLECTION" ~doc)
-  in
-  let k_arg =
-    let doc = "Ranked documents per query." in
-    Arg.(value & opt int 10 & info [ "k" ] ~docv:"K" ~doc)
-  in
-  let queries_arg =
-    let doc = "Evaluate only the first N queries of each set." in
-    Arg.(value & opt (some int) None & info [ "queries" ] ~docv:"N" ~doc)
-  in
   let passes_arg =
     let doc =
       "Replays of the query set (the reuse the result cache exists for); \
@@ -504,159 +439,84 @@ let cache_cmd =
     in
     Arg.(value & opt int 3 & info [ "passes" ] ~docv:"N" ~doc)
   in
-  let audit_arg =
-    let doc =
-      "Re-run every query with both caches disabled and fail unless the \
-       rankings are bit-identical, then run the churn torture: random \
-       add/delete mutations with pinned epochs read back through the \
-       caches."
-    in
-    Arg.(value & flag & info [ "audit" ] ~doc)
-  in
-  let json_arg =
-    let doc = "Write the per-collection numbers as JSON to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
   let fingerprint ranked =
     List.map
       (fun r -> (r.Inquery.Ranking.doc, Printf.sprintf "%.9f" r.Inquery.Ranking.score))
       ranked
   in
-  let run scale names k n_queries passes audit json_file =
-    if k <= 0 || passes <= 0 then begin
-      Printf.eprintf "cache: --k and --passes must be positive\n";
-      exit 2
-    end;
-    let names =
-      match names with [] -> [ "cacm"; "legal"; "tipster1"; "tipster" ] | ns -> ns
-    in
-    let rows =
-      List.map
-        (fun name ->
-          let model = Collections.Presets.find ~scale name in
-          let prepared = Core.Experiment.prepare ~progress model in
-          let spec = Collections.Presets.topk_queries model in
-          let queries = Collections.Querygen.generate model spec in
-          let queries =
-            match n_queries with
-            | None -> queries
-            | Some n -> List.filteri (fun i _ -> i < n) queries
-          in
-          (* One frontend per configuration so neither cache state nor
-             buffer state leaks between the cached run and the
-             caches-off baseline.  The OS cache is purged before every
-             pass in both runs, so bytes read measure what each
-             configuration must physically fetch. *)
-          let measure ~result_bytes ~block_bytes =
-            let fe =
-              Core.Frontend.of_prepared prepared ~names:[ "a" ]
-                ~result_cache_bytes:result_bytes ~block_cache_bytes:block_bytes
-            in
-            let vfs = Core.Frontend.replica_vfs fe ~name:"a" in
-            let c0 = Vfs.counters vfs in
-            let decoded = ref 0 and result_hits = ref 0 in
-            let rankings = ref [] in
-            for _pass = 1 to passes do
-              Vfs.purge_os_cache vfs;
-              List.iter
-                (fun q ->
-                  let r = Core.Frontend.run_query_string ~top_k:k fe q in
-                  decoded := !decoded + r.Core.Frontend.postings_decoded;
-                  if r.Core.Frontend.cached then incr result_hits;
-                  rankings := fingerprint r.Core.Frontend.ranked :: !rankings)
-                queries
-            done;
-            let c1 = Vfs.diff_counters ~later:(Vfs.counters vfs) ~earlier:c0 in
-            (fe, List.rev !rankings, !decoded, !result_hits, c1.Vfs.bytes_read)
-          in
-          let fe, cached_rankings, dec_on, result_hits, bytes_on =
-            measure ~result_bytes:(4 * 1024 * 1024) ~block_bytes:(8 * 1024 * 1024)
-          in
-          let _, plain_rankings, dec_off, _, bytes_off =
-            measure ~result_bytes:0 ~block_bytes:0
-          in
-          if audit then
-            List.iteri
-              (fun i (a, b) ->
-                if a <> b then begin
-                  Printf.eprintf
-                    "cache: AUDIT FAILED on %s: query %d of pass %d ranks differently \
-                     with caches on\n"
-                    name (i mod List.length queries) (1 + (i / List.length queries));
-                  exit 1
-                end)
-              (List.combine cached_rankings plain_rankings);
-          let tiers = Core.Frontend.cache_tiers fe in
-          (name, List.length queries, result_hits, tiers, dec_on, dec_off, bytes_on, bytes_off))
-        names
-    in
-    (* Table-6-style tier hit-rate table: the buffer pool was the
-       paper's only tier; the result and block caches sit above it. *)
-    Printf.printf "%-10s %-8s %10s %10s %8s\n" "collection" "tier" "refs" "hits" "rate";
-    List.iter
-      (fun (name, _, _, tiers, _, _, _, _) ->
+  let run scale names k limit passes audit json =
+    if k <= 0 || passes <= 0 then usage_error "cache" "--k and --passes must be positive";
+    let per_collection name =
+      let _, prepared, queries = load ~scale ~limit Collections.Presets.topk_queries name in
+      (* One frontend per configuration so neither cache state nor
+         buffer state leaks between the cached run and the
+         caches-off baseline.  The OS cache is purged before every
+         pass in both runs, so bytes read measure what each
+         configuration must physically fetch. *)
+      let measure ~result_bytes ~block_bytes =
+        let fe =
+          Core.Frontend.of_prepared prepared ~names:[ "a" ]
+            ~result_cache_bytes:result_bytes ~block_cache_bytes:block_bytes
+        in
+        let vfs = Core.Frontend.replica_vfs fe ~name:"a" in
+        let c0 = Vfs.counters vfs in
+        let decoded = ref 0 and result_hits = ref 0 in
+        let rankings = ref [] in
+        for _pass = 1 to passes do
+          Vfs.purge_os_cache vfs;
+          List.iter
+            (fun q ->
+              let r = Core.Frontend.run_query_string ~top_k:k fe q in
+              decoded := !decoded + r.Core.Frontend.postings_decoded;
+              if r.Core.Frontend.cached then incr result_hits;
+              rankings := fingerprint r.Core.Frontend.ranked :: !rankings)
+            queries
+        done;
+        let c1 = Vfs.diff_counters ~later:(Vfs.counters vfs) ~earlier:c0 in
+        (fe, List.rev !rankings, !decoded, !result_hits, c1.Vfs.bytes_read)
+      in
+      let fe, cached_rankings, dec_on, result_hits, bytes_on =
+        measure ~result_bytes:(4 * 1024 * 1024) ~block_bytes:(8 * 1024 * 1024)
+      in
+      let _, plain_rankings, dec_off, _, bytes_off = measure ~result_bytes:0 ~block_bytes:0 in
+      if audit then
         List.iteri
-          (fun i (tier, s) ->
-            Printf.printf "%-10s %-8s %10d %10d %7.1f%%\n"
-              (if i = 0 then name else "")
-              tier s.Util.Cache_stats.refs s.Util.Cache_stats.hits
-              (100.0 *. Util.Cache_stats.hit_rate s))
-          tiers)
-      rows;
-    Printf.printf "\n%-10s %8s %7s %12s %12s %7s %12s %12s %7s\n" "collection" "queries"
-      "rhits" "decoded:off" "decoded:on" "ratio" "bytes:off" "bytes:on" "ratio";
-    List.iter
-      (fun (name, nq, rhits, _, dec_on, dec_off, bytes_on, bytes_off) ->
-        let ratio a b = float_of_int a /. float_of_int (max 1 b) in
-        Printf.printf "%-10s %4dx%-3d %7d %12d %12d %6.2fx %12d %12d %6.2fx\n" name nq passes
-          rhits dec_off dec_on (ratio dec_off dec_on) bytes_off bytes_on
-          (ratio bytes_off bytes_on))
-      rows;
-    let churn =
-      if audit then begin
-        let o = Core.Torture.run_cache () in
-        print_outcome o;
-        if not (Core.Torture.ok o) then begin
-          Printf.eprintf "cache: churn torture found coherence problems\n";
-          exit 1
-        end;
-        Printf.printf
-          "audit: rankings bit-identical with caches off on %d collection(s); churn leg \
-           clean\n"
-          (List.length rows);
-        Some o
-      end
-      else None
+          (fun i (a, b) ->
+            if a <> b then begin
+              Printf.eprintf
+                "cache: AUDIT FAILED on %s: query %d of pass %d ranks differently with caches on\n"
+                name (i mod List.length queries) (1 + (i / List.length queries));
+              exit 1
+            end)
+          (List.combine cached_rankings plain_rankings);
+      let tier (tier, s) =
+        let open Util.Cache_stats in
+        [ J.String name; J.String tier; J.Int s.refs; J.Int s.hits; J.Float (3, hit_rate s);
+          J.Int s.evictions; J.Int s.invalidations; J.Int s.resident_bytes;
+          J.Int s.resident_entries ]
+      in
+      ( List.map tier (Core.Frontend.cache_tiers fe),
+        [ J.String name; J.Int (List.length queries); J.Int result_hits; J.Int dec_off;
+          J.Int dec_on; J.Float (2, ratio dec_off dec_on); J.Int bytes_off; J.Int bytes_on;
+          J.Float (2, ratio bytes_off bytes_on) ] )
     in
-    (match json_file with
-    | None -> ()
-    | Some file ->
-      let oc = open_out file in
-      let tier_json (tier, s) =
-        Printf.sprintf
-          "      { \"tier\": %S, \"refs\": %d, \"hits\": %d, \"evictions\": %d, \
-           \"invalidations\": %d, \"resident_bytes\": %d, \"resident_entries\": %d }"
-          tier s.Util.Cache_stats.refs s.Util.Cache_stats.hits s.Util.Cache_stats.evictions
-          s.Util.Cache_stats.invalidations s.Util.Cache_stats.resident_bytes
-          s.Util.Cache_stats.resident_entries
-      in
-      let row_json (name, nq, rhits, tiers, dec_on, dec_off, bytes_on, bytes_off) =
-        Printf.sprintf
-          "  { \"collection\": %S, \"queries\": %d, \"passes\": %d, \"k\": %d,\n\
-          \    \"result_cache_hits\": %d,\n\
-          \    \"postings_decoded\": { \"caches_off\": %d, \"caches_on\": %d },\n\
-          \    \"bytes_read\": { \"caches_off\": %d, \"caches_on\": %d },\n\
-          \    \"tiers\": [\n%s\n    ],\n\
-          \    \"audited\": %b }"
-          name nq passes k rhits dec_off dec_on bytes_off bytes_on
-          (String.concat ",\n" (List.map tier_json tiers))
-          audit
-      in
-      Printf.fprintf oc "{ \"collections\": [\n%s\n]%s\n}\n"
-        (String.concat ",\n" (List.map row_json rows))
-        (outcome_json "churn_audit" churn);
-      close_out oc;
-      Printf.printf "wrote %s\n" file)
+    let results = List.map per_collection names in
+    (* The tier table is Table-6 style: the buffer pool was the paper's
+       only tier; the result and block caches sit above it. *)
+    emit json "cache"
+      (("k", J.Int k) :: ("passes", J.Int passes) :: sweep_params ~scale ~limit ~audit)
+      [
+        table "tiers"
+          [ "collection"; "tier"; "refs"; "hits"; "hit_rate"; "evictions"; "invalidations";
+            "resident_bytes"; "resident_entries" ]
+          (List.concat_map fst results);
+        table "work"
+          [ "collection"; "queries"; "result_cache_hits"; "postings_decoded_caches_off";
+            "postings_decoded_caches_on"; "decoded_ratio"; "bytes_read_caches_off";
+            "bytes_read_caches_on"; "bytes_ratio" ]
+          (List.map snd results);
+      ]
+      (if audit then Some (Core.Torture.run_cache ()) else None)
   in
   let doc =
     "Measure the tiered read-path caches on reuse-heavy query replays: \
@@ -666,123 +526,60 @@ let cache_cmd =
      and churn torture."
   in
   Cmd.v (Cmd.info "cache" ~doc)
-    Term.(const run $ scale_arg $ collections_arg $ k_arg $ queries_arg $ passes_arg
-          $ audit_arg $ json_arg)
+    Term.(
+      const run $ scale_arg $ collections_arg $ k_arg "Ranked documents per query."
+      $ queries_arg "Evaluate only the first N queries of each set."
+      $ passes_arg
+      $ audit_arg
+          "Re-run every query with both caches disabled and fail unless the \
+           rankings are bit-identical, then run the churn torture: random \
+           add/delete mutations with pinned epochs read back through the \
+           caches."
+      $ json_arg "Write the per-collection numbers as JSON to $(docv).")
 
 (* --- parallel ----------------------------------------------------- *)
 
 let parallel_cmd =
-  let collections_arg =
-    let doc = "Collections to measure (default: all four)." in
-    Arg.(value & pos_all string [] & info [] ~docv:"COLLECTION" ~doc)
-  in
   let domains_arg =
     let doc = "Domain counts to sweep (repeatable; default 1, 2, 4, 8)." in
-    Arg.(value & opt_all int [] & info [ "domains"; "d" ] ~docv:"N" ~doc)
+    Arg.(value & opt_all int [ 1; 2; 4; 8 ] & info [ "domains"; "d" ] ~docv:"N" ~doc)
   in
-  let queries_arg =
-    let doc = "Serve only the first N queries of each set." in
-    Arg.(value & opt (some int) None & info [ "queries" ] ~docv:"N" ~doc)
-  in
-  let audit_arg =
-    let doc =
-      "After each parallel run, re-run the set serially and fail unless \
-       every ranking is bit-identical (documents and beliefs)."
-    in
-    Arg.(value & flag & info [ "audit" ] ~doc)
-  in
-  let json_arg =
-    let doc = "Also write the scaling numbers as JSON to FILE." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  let run scale names domains n_queries audit json_file =
-    let domains = match domains with [] -> [ 1; 2; 4; 8 ] | ds -> ds in
-    if List.exists (fun d -> d <= 0) domains then begin
-      Printf.eprintf "parallel: every --domains must be positive\n";
-      exit 2
-    end;
-    let names =
-      match names with [] -> [ "cacm"; "legal"; "tipster1"; "tipster" ] | ns -> ns
-    in
-    let results =
+  let run scale names domains limit audit json =
+    if List.exists (fun d -> d <= 0) domains then
+      usage_error "parallel" "every --domains must be positive";
+    let rows name =
+      let _, prepared, queries =
+        load ~scale ~limit (fun m -> snd (List.hd (Collections.Presets.query_sets m))) name
+      in
+      let reports =
+        List.map
+          (fun d ->
+            try
+              Core.Parallel.run_query_set ~domains:d ~audit prepared Core.Experiment.Mneme_cache
+                ~queries
+            with Core.Parallel.Audit_mismatch msg ->
+              Printf.eprintf "parallel: AUDIT FAILED on %s at %d domains: %s\n" name d msg;
+              exit 1)
+          domains
+      in
+      let base = match reports with r :: _ -> r.Core.Parallel.sim_makespan_ms | [] -> 0.0 in
       List.map
-        (fun name ->
-          let model = Collections.Presets.find ~scale name in
-          let prepared = Core.Experiment.prepare ~progress model in
-          let _, spec = List.hd (Collections.Presets.query_sets model) in
-          let queries = Collections.Querygen.generate model spec in
-          let queries =
-            match n_queries with
-            | None -> queries
-            | Some n -> List.filteri (fun i _ -> i < n) queries
-          in
-          let reports =
-            List.map
-              (fun d ->
-                match
-                  Core.Parallel.run_query_set ~domains:d ~audit prepared
-                    Core.Experiment.Mneme_cache ~queries
-                with
-                | r -> r
-                | exception Core.Parallel.Audit_mismatch msg ->
-                  Printf.eprintf "parallel: AUDIT FAILED on %s at %d domains: %s\n" name d msg;
-                  exit 1)
-              domains
-          in
-          (name, List.length queries, reports))
-        names
+        (fun (r : Core.Parallel.report) ->
+          let makespan = r.Core.Parallel.sim_makespan_ms in
+          [ J.String name; J.Int (List.length queries); J.Int r.Core.Parallel.domains;
+            J.Float (3, r.Core.Parallel.sim_serial_ms); J.Float (3, makespan);
+            J.Float (3, if makespan > 0.0 then base /. makespan else 0.0);
+            J.Int r.Core.Parallel.steals; J.Float (3, r.Core.Parallel.real_elapsed_ms) ])
+        reports
     in
-    Printf.printf "%-10s %8s %8s %12s %12s %9s %7s %10s\n" "collection" "queries" "domains"
-      "serial ms" "makespan ms" "speedup" "steals" "real ms";
-    List.iter
-      (fun (name, nq, reports) ->
-        let base =
-          match reports with r :: _ -> r.Core.Parallel.sim_makespan_ms | [] -> 0.0
-        in
-        List.iter
-          (fun (r : Core.Parallel.report) ->
-            let speedup =
-              if r.Core.Parallel.sim_makespan_ms > 0.0 then
-                base /. r.Core.Parallel.sim_makespan_ms
-              else 0.0
-            in
-            Printf.printf "%-10s %8d %8d %12.1f %12.1f %8.2fx %7d %10.1f\n" name nq
-              r.Core.Parallel.domains r.Core.Parallel.sim_serial_ms
-              r.Core.Parallel.sim_makespan_ms speedup r.Core.Parallel.steals
-              r.Core.Parallel.real_elapsed_ms)
-          reports)
-      results;
-    if audit then
-      Printf.printf "audit: every parallel ranking matched the serial run bit-for-bit\n";
-    match json_file with
-    | None -> ()
-    | Some file ->
-      let oc = open_out file in
-      let row_json name nq base (r : Core.Parallel.report) =
-        let speedup =
-          if r.Core.Parallel.sim_makespan_ms > 0.0 then base /. r.Core.Parallel.sim_makespan_ms
-          else 0.0
-        in
-        Printf.sprintf
-          "  { \"collection\": %S, \"queries\": %d, \"domains\": %d,\n\
-          \    \"sim_serial_ms\": %.3f, \"sim_makespan_ms\": %.3f, \"speedup\": %.3f,\n\
-          \    \"steals\": %d, \"real_elapsed_ms\": %.3f, \"audited\": %b }"
-          name nq r.Core.Parallel.domains r.Core.Parallel.sim_serial_ms
-          r.Core.Parallel.sim_makespan_ms speedup r.Core.Parallel.steals
-          r.Core.Parallel.real_elapsed_ms r.Core.Parallel.audited
-      in
-      let rows =
-        List.concat_map
-          (fun (name, nq, reports) ->
-            let base =
-              match reports with r :: _ -> r.Core.Parallel.sim_makespan_ms | [] -> 0.0
-            in
-            List.map (row_json name nq base) reports)
-          results
-      in
-      Printf.fprintf oc "[\n%s\n]\n" (String.concat ",\n" rows);
-      close_out oc;
-      Printf.printf "wrote %s\n" file
+    emit json "parallel" (sweep_params ~scale ~limit ~audit)
+      [
+        table "scaling"
+          [ "collection"; "queries"; "domains"; "sim_serial_ms"; "sim_makespan_ms"; "speedup";
+            "steals"; "real_elapsed_ms" ]
+          (List.concat_map rows names);
+      ]
+      None
   in
   let doc =
     "Serve each collection's query set across 1/2/4/8 OCaml domains — \
@@ -791,29 +588,20 @@ let parallel_cmd =
      table; --audit verifies bit-identical rankings against a serial run."
   in
   Cmd.v (Cmd.info "parallel" ~doc)
-    Term.(const run $ scale_arg $ collections_arg $ domains_arg $ queries_arg $ audit_arg
-          $ json_arg)
+    Term.(
+      const run $ scale_arg $ collections_arg $ domains_arg
+      $ queries_arg "Serve only the first N queries of each set."
+      $ audit_arg
+          "After each parallel run, re-run the set serially and fail unless \
+           every ranking is bit-identical (documents and beliefs)."
+      $ json_arg "Also write the scaling numbers as JSON to FILE.")
 
 (* --- torture ------------------------------------------------------ *)
 
 let torture_cmd =
-  let seed_arg =
-    let doc = "PRNG seed for the workload." in
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
-  in
-  let docs_arg =
-    let doc = "Objects allocated by the build transaction." in
-    Arg.(value & opt int 12 & info [ "docs" ] ~docv:"N" ~doc)
-  in
-  let batches_arg =
-    let doc = "Update transactions after the build." in
-    Arg.(value & opt int 3 & info [ "batches" ] ~docv:"N" ~doc)
-  in
   let run seed docs update_batches =
-    if docs < 0 || update_batches < 0 then begin
-      Printf.eprintf "torture: --docs and --batches must be non-negative\n";
-      exit 2
-    end;
+    if docs < 0 || update_batches < 0 then
+      usage_error "torture" "--docs and --batches must be non-negative";
     let outcome = Core.Torture.(run_sweep (prepare ~seed ~docs ~update_batches ())) in
     print_outcome outcome;
     if not (Core.Torture.ok outcome) then exit 1
@@ -822,32 +610,18 @@ let torture_cmd =
     "Crash the journaled store at every physical I/O of an \
      index-build-and-update workload and audit each recovery."
   in
-  Cmd.v (Cmd.info "torture" ~doc) Term.(const run $ seed_arg $ docs_arg $ batches_arg)
+  Cmd.v (Cmd.info "torture" ~doc)
+    Term.(
+      const run $ seed_arg
+      $ docs_arg 12 "Objects allocated by the build transaction."
+      $ batches_arg "Update transactions after the build.")
 
 (* --- failover ----------------------------------------------------- *)
 
 let failover_cmd =
-  let seed_arg =
-    let doc = "PRNG seed for the workload." in
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
-  in
-  let docs_arg =
-    let doc = "Documents indexed by the workload." in
-    Arg.(value & opt int 12 & info [ "docs" ] ~docv:"N" ~doc)
-  in
-  let batches_arg =
-    let doc = "Commit batches the build is split into." in
-    Arg.(value & opt int 3 & info [ "batches" ] ~docv:"N" ~doc)
-  in
-  let standbys_arg =
-    let doc = "Standby replicas shipping the primary's journal." in
-    Arg.(value & opt int 2 & info [ "standbys" ] ~docv:"N" ~doc)
-  in
   let run seed docs batches standbys =
-    if docs <= 0 || batches <= 0 || standbys <= 0 then begin
-      Printf.eprintf "failover: --docs, --batches and --standbys must be positive\n";
-      exit 2
-    end;
+    if docs <= 0 || batches <= 0 || standbys <= 0 then
+      usage_error "failover" "--docs, --batches and --standbys must be positive";
     let outcome =
       Core.Torture.(run_sweep (prepare_failover ~seed ~docs ~batches ~standbys ()))
     in
@@ -860,139 +634,61 @@ let failover_cmd =
      the committed prefix byte-identically."
   in
   Cmd.v (Cmd.info "failover" ~doc)
-    Term.(const run $ seed_arg $ docs_arg $ batches_arg $ standbys_arg)
+    Term.(
+      const run $ seed_arg
+      $ docs_arg 12 "Documents indexed by the workload."
+      $ batches_arg "Commit batches the build is split into."
+      $ standbys_arg)
 
-(* --- epoch -------------------------------------------------------- *)
+(* --- epoch and ingest --------------------------------------------- *)
+
+(* Both run a live-index workload once as the golden run and report
+   its timeline; --audit adds the crash sweep over its physical I/Os. *)
+let golden_report command ~ops ~seed ~docs ~audit ~json sweep timeline =
+  let golden_problems = Core.Torture.golden_problems sweep in
+  List.iter (fun p -> Printf.printf "golden run problem: %s\n" p) golden_problems;
+  emit ~failed:(golden_problems <> []) json command
+    [ ("seed", J.Int seed); ("docs", J.Int docs); ("audited", J.Bool audit) ]
+    [
+      table "golden" [ ops; "crash_points" ]
+        [ [ J.Int (List.length timeline.Core.Run_report.rows); J.Int (Core.Torture.points sweep) ] ];
+      timeline;
+    ]
+    (if audit then Some (Core.Torture.run_sweep sweep) else None)
 
 let epoch_cmd =
-  let seed_arg =
-    let doc = "PRNG seed for the workload." in
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
-  in
-  let docs_arg =
-    let doc = "Documents the live-index workload indexes (deletions are interleaved)." in
-    Arg.(value & opt int 8 & info [ "docs" ] ~docv:"N" ~doc)
-  in
-  let audit_arg =
-    let doc =
-      "Crash the workload at every physical I/O, recover each image, and audit that the \
-       surviving root is wholly old or wholly new, fsck-clean, and gc-drainable."
-    in
-    Arg.(value & flag & info [ "audit" ] ~doc)
-  in
-  let json_arg =
-    let doc = "Write the outcome as JSON to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  let run seed docs audit json_file =
-    if docs <= 0 then begin
-      Printf.eprintf "epoch: --docs must be positive\n";
-      exit 2
-    end;
+  let run seed docs audit json =
+    if docs <= 0 then usage_error "epoch" "--docs must be positive";
     let sweep = Core.Torture.prepare_epoch ~seed ~docs () in
-    let table = Core.Torture.epoch_table (Core.Torture.golden sweep) in
-    Printf.printf "golden run: %d epochs published over %d documents, %d crash points\n"
-      (List.length table) docs (Core.Torture.points sweep);
-    Printf.printf "%8s %10s %10s\n" "epoch" "documents" "terms";
-    List.iter (fun (e, d, t) -> Printf.printf "%8d %10d %10d\n" e d t) table;
-    let golden_problems = Core.Torture.golden_problems sweep in
-    List.iter (fun p -> Printf.printf "golden run problem: %s\n" p) golden_problems;
-    let outcome = if audit then Some (Core.Torture.run_sweep sweep) else None in
-    Option.iter print_outcome outcome;
-    (match json_file with
-    | None -> ()
-    | Some f ->
-      let oc = open_out f in
-      let table_json =
-        String.concat ",\n"
-          (List.map
-             (fun (e, d, t) ->
-               Printf.sprintf "    {\"epoch\": %d, \"documents\": %d, \"terms\": %d}" e d t)
-             table)
-      in
-      Printf.fprintf oc
-        "{\n\
-        \  \"seed\": %d,\n\
-        \  \"docs\": %d,\n\
-        \  \"mutations\": %d,\n\
-        \  \"crash_points\": %d,\n\
-        \  \"epochs\": [\n%s\n  ]%s\n\
-         }\n"
-        seed docs (List.length table) (Core.Torture.points sweep) table_json
-        (outcome_json "audit" outcome);
-      close_out oc);
-    if golden_problems <> [] || outcome_failed outcome then exit 1
+    golden_report "epoch" ~ops:"mutations" ~seed ~docs ~audit ~json sweep
+      (table "epochs" [ "epoch"; "documents"; "terms" ]
+         (List.map
+            (fun (e, d, t) -> [ J.Int e; J.Int d; J.Int t ])
+            (Core.Torture.epoch_table (Core.Torture.golden sweep))))
   in
   let doc =
     "Publish epochs through a journaled live index (snapshot-isolated COW mutation) and, with \
      $(b,--audit), crash at every physical I/O proving torn-read-proof recovery and \
      pinned-epoch gc safety."
   in
-  Cmd.v (Cmd.info "epoch" ~doc) Term.(const run $ seed_arg $ docs_arg $ audit_arg $ json_arg)
-
-(* --- ingest ------------------------------------------------------- *)
+  Cmd.v (Cmd.info "epoch" ~doc)
+    Term.(
+      const run $ seed_arg
+      $ docs_arg 8 "Documents the live-index workload indexes (deletions are interleaved)."
+      $ audit_arg
+          "Crash the workload at every physical I/O, recover each image, and audit that the \
+           surviving root is wholly old or wholly new, fsck-clean, and gc-drainable."
+      $ json_arg "Write the outcome as JSON to $(docv).")
 
 let ingest_cmd =
-  let seed_arg =
-    let doc = "PRNG seed for the workload." in
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
-  in
-  let docs_arg =
-    let doc = "Documents the ingest workload adds (deletions and merges are interleaved)." in
-    Arg.(value & opt int 8 & info [ "docs" ] ~docv:"N" ~doc)
-  in
-  let audit_arg =
-    let doc =
-      "Crash the workload at every physical I/O, recover each image with WAL replay, and \
-       audit exactly-once durability: every acknowledged document present exactly once, \
-       rankings byte-identical to the golden run at the recovered frontier, and the merge \
-       resuming to a clean drain."
-    in
-    Arg.(value & flag & info [ "audit" ] ~doc)
-  in
-  let json_arg =
-    let doc = "Write the outcome as JSON to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  let run seed docs audit json_file =
-    if docs <= 0 then begin
-      Printf.eprintf "ingest: --docs must be positive\n";
-      exit 2
-    end;
+  let run seed docs audit json =
+    if docs <= 0 then usage_error "ingest" "--docs must be positive";
     let sweep = Core.Torture.prepare_ingest ~seed ~docs () in
-    let table = Core.Torture.ingest_table (Core.Torture.golden sweep) in
-    Printf.printf "golden run: %d operations over %d documents, %d crash points\n"
-      (List.length table) docs (Core.Torture.points sweep);
-    Printf.printf "%8s %10s %8s %10s\n" "op" "acked_seq" "folds" "documents";
-    List.iter (fun (o, s, f, d) -> Printf.printf "%8d %10d %8d %10d\n" o s f d) table;
-    let golden_problems = Core.Torture.golden_problems sweep in
-    List.iter (fun p -> Printf.printf "golden run problem: %s\n" p) golden_problems;
-    let outcome = if audit then Some (Core.Torture.run_sweep sweep) else None in
-    Option.iter print_outcome outcome;
-    (match json_file with
-    | None -> ()
-    | Some f ->
-      let oc = open_out f in
-      let table_json =
-        String.concat ",\n"
-          (List.map
-             (fun (o, s, fo, d) ->
-               Printf.sprintf
-                 "    {\"op\": %d, \"acked_seq\": %d, \"folds\": %d, \"documents\": %d}" o s fo d)
-             table)
-      in
-      Printf.fprintf oc
-        "{\n\
-        \  \"seed\": %d,\n\
-        \  \"docs\": %d,\n\
-        \  \"operations\": %d,\n\
-        \  \"crash_points\": %d,\n\
-        \  \"timeline\": [\n%s\n  ]%s\n\
-         }\n"
-        seed docs (List.length table) (Core.Torture.points sweep) table_json
-        (outcome_json "audit" outcome);
-      close_out oc);
-    if golden_problems <> [] || outcome_failed outcome then exit 1
+    golden_report "ingest" ~ops:"operations" ~seed ~docs ~audit ~json sweep
+      (table "timeline" [ "op"; "acked_seq"; "folds"; "documents" ]
+         (List.map
+            (fun (o, s, f, d) -> [ J.Int o; J.Int s; J.Int f; J.Int d ])
+            (Core.Torture.ingest_table (Core.Torture.golden sweep))))
   in
   let doc =
     "Ingest documents online through the WAL-backed write buffer and budgeted merge and, \
@@ -1000,27 +696,20 @@ let ingest_cmd =
      durability: no acknowledged document lost or duplicated, rankings byte-identical at \
      the recovered frontier, merge resumed to a clean drain."
   in
-  Cmd.v (Cmd.info "ingest" ~doc) Term.(const run $ seed_arg $ docs_arg $ audit_arg $ json_arg)
+  Cmd.v (Cmd.info "ingest" ~doc)
+    Term.(
+      const run $ seed_arg
+      $ docs_arg 8 "Documents the ingest workload adds (deletions and merges are interleaved)."
+      $ audit_arg
+          "Crash the workload at every physical I/O, recover each image with WAL replay, and \
+           audit exactly-once durability: every acknowledged document present exactly once, \
+           rankings byte-identical to the golden run at the recovered frontier, and the merge \
+           resuming to a clean drain."
+      $ json_arg "Write the outcome as JSON to $(docv).")
 
 (* --- scrub -------------------------------------------------------- *)
 
 let scrub_cmd =
-  let seed_arg =
-    let doc = "PRNG seed for the workload." in
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
-  in
-  let docs_arg =
-    let doc = "Documents indexed by the workload." in
-    Arg.(value & opt int 12 & info [ "docs" ] ~docv:"N" ~doc)
-  in
-  let batches_arg =
-    let doc = "Commit batches the build is split into." in
-    Arg.(value & opt int 3 & info [ "batches" ] ~docv:"N" ~doc)
-  in
-  let standbys_arg =
-    let doc = "Standby replicas shipping the primary's journal." in
-    Arg.(value & opt int 2 & info [ "standbys" ] ~docv:"N" ~doc)
-  in
   let bits_arg =
     let doc = "Distinct bits flipped inside each rotted segment." in
     Arg.(value & opt int 1 & info [ "bits" ] ~docv:"N" ~doc)
@@ -1039,25 +728,27 @@ let scrub_cmd =
     Arg.(value & opt_all int [] & info [ "budget" ] ~docv:"BUDGET" ~doc)
   in
   let run seed docs batches standbys bits no_crash budgets =
-    if docs <= 0 || batches <= 0 || standbys <= 0 || bits <= 0 then begin
-      Printf.eprintf "scrub: --docs, --batches, --standbys and --bits must be positive\n";
-      exit 2
-    end;
-    if List.exists (fun b -> b <= 0) budgets then begin
-      Printf.eprintf "scrub: every --budget must be positive\n";
-      exit 2
-    end;
+    if docs <= 0 || batches <= 0 || standbys <= 0 || bits <= 0 then
+      usage_error "scrub" "--docs, --batches, --standbys and --bits must be positive";
+    if List.exists (fun b -> b <= 0) budgets then
+      usage_error "scrub" "every --budget must be positive";
     match budgets with
     | _ :: _ ->
-      let rows = Core.Torture.scrub_budget_sweep ~seed ~docs ~batches ~standbys ~budgets () in
-      Printf.printf "%10s %6s %10s %10s %10s %10s\n" "budget B" "steps" "detect ms" "stall ms"
-        "heal ms" "query ms";
-      List.iter
-        (fun r ->
-          Printf.printf "%10d %6d %10.2f %10.2f %10.2f %10.2f\n" r.Core.Torture.sw_budget
-            r.Core.Torture.sw_steps r.Core.Torture.sw_detect_ms r.Core.Torture.sw_stall_ms
-            r.Core.Torture.sw_heal_ms r.Core.Torture.sw_query_ms)
-        rows
+      let row r =
+        let open Core.Torture in
+        [ J.Int r.sw_budget; J.Int r.sw_steps; J.Float (2, r.sw_detect_ms);
+          J.Float (2, r.sw_stall_ms); J.Float (2, r.sw_heal_ms); J.Float (2, r.sw_query_ms) ]
+      in
+      emit None "scrub"
+        [ ("seed", J.Int seed); ("docs", J.Int docs); ("batches", J.Int batches);
+          ("standbys", J.Int standbys) ]
+        [
+          table "budgets"
+            [ "budget"; "steps"; "detect_ms"; "stall_ms"; "heal_ms"; "query_ms" ]
+            (List.map row
+               (Core.Torture.scrub_budget_sweep ~seed ~docs ~batches ~standbys ~budgets ()));
+        ]
+        None
     | [] ->
       let outcome =
         Core.Torture.run_scrub ~seed ~docs ~batches ~standbys ~bits
@@ -1074,8 +765,11 @@ let scrub_cmd =
      crashed at every I/O."
   in
   Cmd.v (Cmd.info "scrub" ~doc)
-    Term.(const run $ seed_arg $ docs_arg $ batches_arg $ standbys_arg $ bits_arg
-          $ no_crash_arg $ budgets_arg)
+    Term.(
+      const run $ seed_arg
+      $ docs_arg 12 "Documents indexed by the workload."
+      $ batches_arg "Commit batches the build is split into."
+      $ standbys_arg $ bits_arg $ no_crash_arg $ budgets_arg)
 
 (* --- frontend ----------------------------------------------------- *)
 
@@ -1181,52 +875,17 @@ let shard_cmd =
   in
   let shards_arg =
     let doc = "Shard count to measure (repeatable; default 1, 2, 4, 8)." in
-    Arg.(value & opt_all int [] & info [ "shards" ] ~docv:"N" ~doc)
+    Arg.(value & opt_all int [ 1; 2; 4; 8 ] & info [ "shards" ] ~docv:"N" ~doc)
   in
   let replicas_arg =
     let doc = "Replicas per shard." in
     Arg.(value & opt int 2 & info [ "replicas" ] ~docv:"N" ~doc)
   in
-  let k_arg =
-    let doc = "Ranked documents per query." in
-    Arg.(value & opt int 10 & info [ "k" ] ~docv:"K" ~doc)
-  in
-  let queries_arg =
-    let doc = "Evaluate only the first N queries of the set." in
-    Arg.(value & opt (some int) None & info [ "queries" ] ~docv:"N" ~doc)
-  in
-  let audit_arg =
-    let doc =
-      "Run the shard torture: replay the scatter with one member crashed, stalled or \
-       bit-flipped at every serving I/O (plus whole-shard blackouts and brownouts) and \
-       audit bit-identical full results, exactly-restricted partial results, and the \
-       one-fetch deadline overshoot bound."
-    in
-    Arg.(value & flag & info [ "audit" ] ~doc)
-  in
-  let json_arg =
-    let doc = "Write the scaling table (and audit outcome) as JSON to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  let run scale name shard_counts replicas k n_queries audit json_file =
-    if replicas <= 0 || k <= 0 then begin
-      Printf.eprintf "shard: --replicas and --k must be positive\n";
-      exit 2
-    end;
-    if List.exists (fun s -> s <= 0) shard_counts then begin
-      Printf.eprintf "shard: every --shards must be positive\n";
-      exit 2
-    end;
-    let shard_counts = match shard_counts with [] -> [ 1; 2; 4; 8 ] | l -> l in
-    let model = Collections.Presets.find ~scale name in
-    let prepared = Core.Experiment.prepare ~progress model in
-    let spec = Collections.Presets.topk_queries model in
-    let queries = Collections.Querygen.generate model spec in
-    let queries =
-      match n_queries with
-      | None -> queries
-      | Some n -> List.filteri (fun i _ -> i < n) queries
-    in
+  let run scale name shard_counts replicas k limit audit json =
+    if replicas <= 0 || k <= 0 then usage_error "shard" "--replicas and --k must be positive";
+    if List.exists (fun s -> s <= 0) shard_counts then
+      usage_error "shard" "every --shards must be positive";
+    let model, prepared, queries = load ~scale ~limit Collections.Presets.topk_queries name in
     (* The unsharded oracle the merged rankings must reproduce. *)
     let engine = Core.Experiment.open_engine prepared Core.Experiment.Mneme_cache in
     let oracle =
@@ -1266,6 +925,7 @@ let shard_cmd =
         queries oracle;
       (!makespan, !decoded, !per_shard_max, !exact)
     in
+    let all_exact = ref true in
     let rows =
       List.filter_map
         (fun shards ->
@@ -1277,50 +937,25 @@ let shard_cmd =
           else begin
             let makespan, decoded, per_shard, exact = measure ~global_bound:true shards in
             let _, decoded_nobound, _, _ = measure ~global_bound:false shards in
-            Some (shards, makespan, decoded, per_shard, decoded_nobound, exact)
+            all_exact := !all_exact && exact;
+            Some
+              [ J.Int shards; J.Int (List.length queries); J.Float (3, makespan); J.Int decoded;
+                J.Int per_shard; J.Int decoded_nobound; J.Bool exact ]
           end)
         shard_counts
     in
-    Printf.printf "%s: %d queries, top-%d, %d replicas per shard\n" name (List.length queries) k
-      replicas;
-    Printf.printf "%7s %13s %14s %14s %16s %6s\n" "shards" "makespan ms" "decoded(bound)"
-      "max per shard" "decoded(nobound)" "exact";
-    List.iter
-      (fun (s, mk, d, ps, dn, exact) ->
-        Printf.printf "%7d %13.2f %14d %14d %16d %6s\n" s mk d ps dn
-          (if exact then "yes" else "NO"))
-      rows;
-    let all_exact = List.for_all (fun (_, _, _, _, _, e) -> e) rows in
-    if not all_exact then
+    if not !all_exact then
       Printf.eprintf "shard: some merged rankings diverged from the unsharded index\n";
-    let outcome = if audit then Some (Core.Torture.run_shard ()) else None in
-    Option.iter print_outcome outcome;
-    (match json_file with
-    | None -> ()
-    | Some f ->
-      let oc = open_out f in
-      let rows_json =
-        String.concat ",\n"
-          (List.map
-             (fun (s, mk, d, ps, dn, exact) ->
-               Printf.sprintf
-                 "    {\"shards\": %d, \"makespan_ms\": %.3f, \"postings_decoded\": %d, \
-                  \"max_per_shard\": %d, \"postings_decoded_no_bound\": %d, \"exact\": %b}"
-                 s mk d ps dn exact)
-             rows)
-      in
-      Printf.fprintf oc
-        "{\n\
-        \  \"collection\": %S,\n\
-        \  \"scale\": %g,\n\
-        \  \"queries\": %d,\n\
-        \  \"k\": %d,\n\
-        \  \"replicas\": %d,\n\
-        \  \"rows\": [\n%s\n  ]%s\n\
-         }\n"
-        name scale (List.length queries) k replicas rows_json (outcome_json "audit" outcome);
-      close_out oc);
-    if (not all_exact) || outcome_failed outcome then exit 1
+    emit ~failed:(not !all_exact) json "shard"
+      (("collection", J.String name) :: ("k", J.Int k) :: ("replicas", J.Int replicas)
+      :: sweep_params ~scale ~limit ~audit)
+      [
+        table "shards"
+          [ "shards"; "queries"; "makespan_ms"; "postings_decoded"; "max_per_shard";
+            "postings_decoded_no_bound"; "exact" ]
+          rows;
+      ]
+      (if audit then Some (Core.Torture.run_shard ()) else None)
   in
   let doc =
     "Scatter-gather a query set over doc-partitioned shards (each a replicated store behind \
@@ -1329,8 +964,16 @@ let shard_cmd =
      proving partial-result exactness and the deadline overshoot bound."
   in
   Cmd.v (Cmd.info "shard" ~doc)
-    Term.(const run $ scale_arg $ collection_arg $ shards_arg $ replicas_arg $ k_arg
-          $ queries_arg $ audit_arg $ json_arg)
+    Term.(
+      const run $ scale_arg $ collection_arg $ shards_arg $ replicas_arg
+      $ k_arg "Ranked documents per query."
+      $ queries_arg "Evaluate only the first N queries of the set."
+      $ audit_arg
+          "Run the shard torture: replay the scatter with one member crashed, stalled or \
+           bit-flipped at every serving I/O (plus whole-shard blackouts and brownouts) and \
+           audit bit-identical full results, exactly-restricted partial results, and the \
+           one-fetch deadline overshoot bound."
+      $ json_arg "Write the scaling table (and audit outcome) as JSON to $(docv).")
 
 (* --- query -------------------------------------------------------- *)
 

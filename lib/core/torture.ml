@@ -110,13 +110,12 @@ let pp fmt o =
       o.problems
   end
 
-(* Laid out to nest one level deep in the BENCH files. *)
 let to_json o =
-  let tally (l, n) = Printf.sprintf "    %S: %d,\n" l n in
-  let problem (k, p) = Printf.sprintf "      {\"point\": %d, \"problem\": %S}" k p in
-  Printf.sprintf "{\n%s    \"problems\": [\n%s\n    ]\n  }"
-    (String.concat "" (List.map tally o.tallies))
-    (String.concat ",\n" (List.map problem o.problems))
+  let open Util.Json in
+  let problem (k, p) = Obj [ ("point", Int k); ("problem", String p) ] in
+  Obj
+    (List.map (fun (l, n) -> (l, Int n)) o.tallies
+    @ [ ("problems", List (List.map problem o.problems)) ])
 
 (* ------------------------------------------------------------------ *)
 (* The generic crash sweep.  A family's golden run learns how many

@@ -39,10 +39,9 @@ val pp : Format.formatter -> outcome -> unit
 (** One line of tallies, then one line per problem; point 0 prints as
     "golden run". *)
 
-val to_json : outcome -> string
-(** The outcome as a JSON object — each tally as a key, then a
-    ["problems"] array of [{"point", "problem"}] — laid out to nest one
-    level deep in a BENCH file. *)
+val to_json : outcome -> Util.Json.t
+(** The outcome as a JSON object: each tally as a key, then a
+    ["problems"] array of [{"point", "problem"}] objects. *)
 
 (** {2 The generic crash sweep}
 

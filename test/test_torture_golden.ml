@@ -70,8 +70,11 @@ let test_pp_and_ok () =
     "demo: points 2, opened 1\n2 problem(s):\n  golden run: lost a pin\n  point 2: torn root"
     (Format.asprintf "%a" T.pp bad);
   Alcotest.(check string) "json"
-    "{\n    \"points\": 2,\n    \"opened\": 1,\n    \"problems\": [\n      {\"point\": 0, \"problem\": \"lost a pin\"},\n      {\"point\": 2, \"problem\": \"torn root\"}\n    ]\n  }"
-    (T.to_json bad)
+    "{\n  \"points\": 2,\n  \"opened\": 1,\n  \"problems\": [\n    {\"point\": 0, \"problem\": \"lost a pin\"},\n    {\"point\": 2, \"problem\": \"torn root\"}\n  ]\n}"
+    (Util.Json.to_string (T.to_json bad));
+  Alcotest.(check string) "json, no problems"
+    "{\n  \"points\": 2,\n  \"opened\": 1,\n  \"problems\": []\n}"
+    (Util.Json.to_string (T.to_json clean))
 
 let suite =
   [
